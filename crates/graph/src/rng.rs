@@ -265,6 +265,26 @@ mod tests {
         assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 
+    /// Pins the exact draw stream: every sampled subgraph in the repository
+    /// depends on it. The second call (k = 15 of n = 16) takes Floyd's
+    /// collision branch several times.
+    #[test]
+    fn sample_distinct_stream_is_pinned() {
+        let mut rng = DeterministicRng::seed(77);
+        assert_eq!(
+            rng.sample_distinct(100, 15),
+            [37, 19, 51, 85, 42, 15, 6, 60, 93, 38, 92, 12, 25, 7, 65]
+        );
+        assert_eq!(
+            rng.sample_distinct(16, 15),
+            [0, 2, 1, 4, 5, 6, 7, 8, 9, 3, 11, 12, 13, 14, 15]
+        );
+        assert_eq!(rng.sample_distinct(6, 6), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(rng.sample_distinct(6, 0), [] as [u64; 0]);
+        // Floyd consumes exactly one draw per sampled value.
+        assert_eq!(rng.next(), 10_641_622_588_914_122_397);
+    }
+
     #[test]
     fn derive_produces_independent_streams() {
         let parent = DeterministicRng::seed(10);
