@@ -5,7 +5,9 @@
 use fastgl_gnn::aggregate::{mean_aggregate, sum_aggregate_backward};
 use fastgl_graph::generate::rmat::{self, RmatConfig};
 use fastgl_graph::{DeterministicRng, NodeId};
-use fastgl_sample::{Block, FusedIdMap, NeighborSampler, SampledSubgraph};
+use fastgl_sample::{
+    BaselineIdMap, Block, FusedIdMap, IdMap, NeighborSampler, SampleStats, SampledSubgraph,
+};
 use fastgl_tensor::{parallel, Matrix};
 use std::sync::Mutex;
 
@@ -100,11 +102,18 @@ fn aggregation_bit_identical_across_thread_counts() {
 }
 
 /// One full mini-batch — sample, gather, aggregate, dense update — must be
-/// bit-identical across `FASTGL_THREADS ∈ {1, 2, 8}` and repeated runs.
+/// bit-identical across `FASTGL_THREADS ∈ {1, 2, 8}` and repeated runs,
+/// under either ID map.
 #[test]
 fn full_minibatch_bit_identical_across_thread_counts() {
     let graph = rmat::generate(&RmatConfig::social(3_000, 24_000), 5);
     let seeds: Vec<NodeId> = (0..256).map(|i| NodeId(i * 11 % 3_000)).collect();
+    // The seed frontier alone must split across several sampling workers,
+    // or the test would only ever exercise the serial draw loop.
+    let workers = with_threads(2, || {
+        parallel::plan_threads(seeds.len(), parallel::SAMPLE_GRAIN_SEEDS)
+    });
+    assert_eq!(workers, 2, "seed frontier too small to split");
     let dim = 32;
     let feats: Vec<f32> = {
         let mut rng = DeterministicRng::seed(7);
@@ -112,10 +121,10 @@ fn full_minibatch_bit_identical_across_thread_counts() {
     };
     let weight = filled(dim, 16, 8);
 
-    let minibatch = || -> (SampledSubgraph, Matrix) {
+    let minibatch = |id_map: &dyn IdMap| -> (SampledSubgraph, SampleStats, Matrix) {
         let sampler = NeighborSampler::new(vec![4, 6]);
         let mut rng = DeterministicRng::seed(42);
-        let (sg, _) = sampler.sample(&graph, &seeds, &FusedIdMap::new(), &mut rng);
+        let (sg, stats) = sampler.sample(&graph, &seeds, id_map, &mut rng);
         let idx: Vec<usize> = sg.nodes.iter().map(|n| n.index()).collect();
         let gathered = Matrix::gather_flat(&feats, dim, 3_000, &idx);
         // One hop of the model: aggregate the widest block, then the dense
@@ -123,22 +132,34 @@ fn full_minibatch_bit_identical_across_thread_counts() {
         let h = mean_aggregate(&sg.blocks[0], &gathered)
             .matmul(&weight)
             .map(|x| x.max(0.0));
-        (sg, h)
+        (sg, stats, h)
     };
 
-    let (base_sg, base_h) = with_threads(1, minibatch);
-    for threads in [1usize, 2, 8] {
-        for run in 0..2 {
-            let (sg, h) = with_threads(threads, minibatch);
-            assert_eq!(
-                sg, base_sg,
-                "sampled subgraph diverged at {threads} threads (run {run})"
-            );
-            assert_eq!(
-                h.as_slice(),
-                base_h.as_slice(),
-                "minibatch output diverged at {threads} threads (run {run})"
-            );
+    let maps: [&dyn IdMap; 2] = [&FusedIdMap::new(), &BaselineIdMap::new()];
+    let mut subgraphs = Vec::new();
+    for id_map in maps {
+        let name = id_map.name();
+        let (base_sg, base_stats, base_h) = with_threads(1, || minibatch(id_map));
+        for threads in [1usize, 2, 8] {
+            for run in 0..2 {
+                let (sg, stats, h) = with_threads(threads, || minibatch(id_map));
+                assert_eq!(
+                    sg, base_sg,
+                    "{name}: sampled subgraph diverged at {threads} threads (run {run})"
+                );
+                assert_eq!(
+                    stats, base_stats,
+                    "{name}: sample stats diverged at {threads} threads (run {run})"
+                );
+                assert_eq!(
+                    h.as_slice(),
+                    base_h.as_slice(),
+                    "{name}: minibatch output diverged at {threads} threads (run {run})"
+                );
+            }
         }
+        subgraphs.push(base_sg);
     }
+    // Both maps number IDs in first-occurrence order, so they agree.
+    assert_eq!(subgraphs[0], subgraphs[1], "ID maps disagree");
 }

@@ -127,24 +127,40 @@ impl DeterministicRng {
 
     /// Samples `k` distinct indices from `[0, n)`.
     ///
-    /// Uses Floyd's algorithm; `O(k)` expected time, independent of `n`.
+    /// Allocating form of [`DeterministicRng::sample_distinct_into`]; both
+    /// produce the same values from the same generator state.
     ///
     /// # Panics
     ///
     /// Panics if `k > n`.
     pub fn sample_distinct(&mut self, n: u64, k: usize) -> Vec<u64> {
-        assert!(k as u64 <= n, "cannot sample {k} distinct values from {n}");
-        let mut chosen = std::collections::HashSet::with_capacity(k);
         let mut out = Vec::with_capacity(k);
+        self.sample_distinct_into(n, k, &mut out);
+        out
+    }
+
+    /// Appends `k` distinct indices from `[0, n)` to `out`.
+    ///
+    /// Floyd's algorithm: one draw per value, independent of `n`. A draw
+    /// that repeats an earlier value of this call is replaced by the
+    /// round's upper end `j`, which no earlier round could produce.
+    /// Membership is a linear scan of the values this call has appended, so
+    /// the call allocates nothing beyond `out`'s growth and costs `O(k²)`
+    /// comparisons: meant for small `k` such as sampling fanouts. Whatever
+    /// `out` held before is left alone and does not affect the draw.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > n`.
+    pub fn sample_distinct_into(&mut self, n: u64, k: usize, out: &mut Vec<u64>) {
+        assert!(k as u64 <= n, "cannot sample {k} distinct values from {n}");
+        let start = out.len();
+        out.reserve(k);
         for j in (n - k as u64)..n {
             let t = self.below(j + 1);
-            let v = if chosen.insert(t) { t } else { j };
-            if v != t {
-                chosen.insert(v);
-            }
+            let v = if out[start..].contains(&t) { j } else { t };
             out.push(v);
         }
-        out
     }
 }
 
@@ -263,6 +279,39 @@ mod tests {
         let mut got = rng.sample_distinct(10, 10);
         got.sort_unstable();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn sample_distinct_into_appends_the_same_stream() {
+        // Earlier contents overlap the drawn range on purpose: they must
+        // neither be touched nor count as already chosen.
+        let prefix: Vec<u64> = (0..20).collect();
+        for (n, k) in [(20u64, 0usize), (20, 7), (20, 19), (20, 20), (1, 1), (5, 5)] {
+            for seed in 0..16 {
+                let mut a = DeterministicRng::seed(seed);
+                let mut b = a.clone();
+                let mut out = prefix.clone();
+                a.sample_distinct_into(n, k, &mut out);
+                assert_eq!(&out[..prefix.len()], &prefix[..], "prefix modified");
+                let drawn = &out[prefix.len()..];
+                assert_eq!(drawn, &b.sample_distinct(n, k)[..], "n={n} k={k}");
+                assert_eq!(a, b, "different number of draws consumed");
+                assert!(drawn.iter().all(|&v| v < n));
+                let mut sorted = drawn.to_vec();
+                sorted.sort_unstable();
+                sorted.dedup();
+                assert_eq!(sorted.len(), k, "n={n} k={k}: duplicates in {drawn:?}");
+                if k as u64 == n {
+                    assert_eq!(sorted, (0..n).collect::<Vec<_>>());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot sample 4 distinct values from 3")]
+    fn sample_distinct_into_rejects_k_above_n() {
+        DeterministicRng::seed(0).sample_distinct_into(3, 4, &mut Vec::new());
     }
 
     /// Pins the exact draw stream: every sampled subgraph in the repository

@@ -105,43 +105,50 @@ impl NeighborSampler {
             // draw of the batch RNG, so (a) the draws are independent of
             // how positions are split across threads, and (b) consecutive
             // mini-batches still see different streams because the parent
-            // RNG advances once per hop.
+            // RNG advances once per hop. Each worker appends its range's
+            // draws to one flat buffer and records a count per node.
             let hop_rng = DeterministicRng::seed(rng.next().wrapping_add(hop as u64));
-            let per_node: Vec<(Vec<u64>, u64)> = fastgl_tensor::parallel::par_map_collect(
-                &frontier,
+            let chunks: Vec<(Vec<u64>, Vec<usize>)> = fastgl_tensor::parallel::par_chunk_results(
+                num_dst,
                 fastgl_tensor::parallel::SAMPLE_GRAIN_SEEDS,
-                |f_idx, &g| {
-                    let node = NodeId(g);
-                    assert!(g < graph.num_nodes(), "seed/frontier node {g} out of range");
-                    let neighbors = graph.neighbors(node);
-                    let deg = neighbors.len();
-                    let take = deg.min(fanout);
-                    let sampled = if deg <= fanout {
-                        neighbors.to_vec()
-                    } else {
-                        let mut node_rng = hop_rng.derive(f_idx as u64);
-                        node_rng
-                            .sample_distinct(deg as u64, take)
-                            .into_iter()
-                            .map(|idx| neighbors[idx as usize])
-                            .collect()
-                    };
-                    (sampled, take as u64)
+                |range| {
+                    let mut drawn = Vec::with_capacity(range.len() * fanout);
+                    let mut counts = Vec::with_capacity(range.len());
+                    for f_idx in range {
+                        let g = frontier[f_idx];
+                        assert!(g < graph.num_nodes(), "seed/frontier node {g} out of range");
+                        let neighbors = graph.neighbors(NodeId(g));
+                        let before = drawn.len();
+                        if neighbors.len() <= fanout {
+                            drawn.extend_from_slice(neighbors);
+                        } else {
+                            hop_rng.derive(f_idx as u64).sample_distinct_into(
+                                neighbors.len() as u64,
+                                fanout,
+                                &mut drawn,
+                            );
+                            for v in &mut drawn[before..] {
+                                *v = neighbors[*v as usize];
+                            }
+                        }
+                        counts.push(drawn.len() - before);
+                    }
+                    (drawn, counts)
                 },
             );
-            let mut sampled_flat: Vec<u64> = Vec::with_capacity(num_dst * fanout);
-            let mut counts: Vec<u64> = Vec::with_capacity(num_dst);
-            for (sampled, take) in per_node {
-                sampled_flat.extend_from_slice(&sampled);
-                counts.push(take);
-                stats.edges_sampled += take;
-            }
 
             // ID map over [frontier ‖ sampled]: the unique list's prefix is
-            // the frontier itself (it is already deduplicated).
-            let mut stream = Vec::with_capacity(frontier.len() + sampled_flat.len());
+            // the frontier itself (it is already deduplicated). The chunks
+            // are concatenated in range order, i.e. frontier order.
+            let num_drawn: usize = chunks.iter().map(|(drawn, _)| drawn.len()).sum();
+            let mut stream = Vec::with_capacity(num_dst + num_drawn);
             stream.extend_from_slice(&frontier);
-            stream.extend_from_slice(&sampled_flat);
+            let mut counts = Vec::with_capacity(num_dst);
+            for (drawn, chunk_counts) in chunks {
+                stream.extend_from_slice(&drawn);
+                counts.extend_from_slice(&chunk_counts);
+            }
+            stats.edges_sampled += num_drawn as u64;
             let out = id_map.map(&stream);
             stats.id_map.merge(&out.stats);
             debug_assert_eq!(&out.unique[..num_dst], &frontier[..]);
@@ -151,7 +158,7 @@ impl NeighborSampler {
             let self_loop = self.add_self_loops;
             let mut src_offsets = Vec::with_capacity(num_dst + 1);
             let mut src_locals =
-                Vec::with_capacity(sampled_flat.len() + if self_loop { num_dst } else { 0 });
+                Vec::with_capacity(num_drawn + if self_loop { num_dst } else { 0 });
             src_offsets.push(0u64);
             let mut cursor = 0usize;
             for (i, &count) in counts.iter().enumerate() {
@@ -159,8 +166,8 @@ impl NeighborSampler {
                     src_locals.push(i as u64);
                     stats.self_loops += 1;
                 }
-                src_locals.extend_from_slice(&sampled_locals[cursor..cursor + count as usize]);
-                cursor += count as usize;
+                src_locals.extend_from_slice(&sampled_locals[cursor..cursor + count]);
+                cursor += count;
                 src_offsets.push(src_locals.len() as u64);
             }
             hop_blocks.push(Block {
