@@ -128,7 +128,124 @@ pub(crate) fn fib_hash(id: u64, bits: u32) -> usize {
 
 #[cfg(test)]
 mod tests {
+    use super::baseline::BaselineIdMap;
+    use super::fused::FusedIdMap;
     use super::*;
+    use fastgl_graph::DeterministicRng;
+
+    const EMPTY: u64 = u64::MAX;
+    const UNASSIGNED: u64 = u64::MAX;
+
+    /// Reference replay that runs every kernel as its own pass over the
+    /// stream: an insert kernel, then one full lookup walk per later kernel.
+    /// Fused (2 kernels) assigns local IDs while inserting; Baseline
+    /// (3 kernels) assigns them in its second kernel, paying one serialized
+    /// synchronization per new ID.
+    fn multi_pass_reference(ids: &[u64], capacity: usize, baseline: bool) -> IdMapOutput {
+        let bits = capacity.trailing_zeros();
+        let mask = capacity - 1;
+        let mut keys = vec![EMPTY; capacity];
+        let mut values = vec![UNASSIGNED; capacity];
+        let mut unique = Vec::new();
+        let mut stats = IdMapStats {
+            total_ids: ids.len() as u64,
+            kernel_launches: if baseline { 3 } else { 2 },
+            device_syncs: if baseline { 2 } else { 1 },
+            ..Default::default()
+        };
+
+        // Kernel 1: insert every ID (duplicates collapse).
+        for &id in ids {
+            let mut slot = fib_hash(id, bits);
+            while keys[slot] != EMPTY && keys[slot] != id {
+                slot = (slot + 1) & mask;
+                stats.probes += 1;
+            }
+            if keys[slot] == EMPTY {
+                keys[slot] = id;
+                if !baseline {
+                    values[slot] = unique.len() as u64;
+                    unique.push(id);
+                }
+            }
+        }
+
+        let lookup = |id: u64, stats: &mut IdMapStats| {
+            let mut slot = fib_hash(id, bits);
+            while keys[slot] != id {
+                slot = (slot + 1) & mask;
+                stats.probes += 1;
+            }
+            slot
+        };
+
+        // Baseline kernel 2: assign local IDs in first-occurrence order.
+        if baseline {
+            for &id in ids {
+                let slot = lookup(id, &mut stats);
+                if values[slot] == UNASSIGNED {
+                    values[slot] = unique.len() as u64;
+                    unique.push(id);
+                    stats.sync_serializations += 1;
+                }
+            }
+        }
+        stats.unique_ids = unique.len() as u64;
+
+        // Last kernel: transform the stream through the table.
+        let locals = ids
+            .iter()
+            .map(|&id| {
+                let slot = lookup(id, &mut stats);
+                stats.lookups += 1;
+                values[slot]
+            })
+            .collect();
+        IdMapOutput {
+            unique,
+            locals,
+            stats,
+        }
+    }
+
+    /// A duplicate-heavy stream: 1–5000 IDs drawn from an alphabet of at
+    /// most half the stream length, scattered over the whole key space.
+    fn duplicate_heavy_stream(rng: &mut DeterministicRng) -> Vec<u64> {
+        let len = 1 + rng.below(5_000) as usize;
+        let alphabet = 1 + rng.below(len as u64 / 2 + 1);
+        let scatter = rng.next() | 1;
+        (0..len)
+            .map(|_| {
+                let id = rng.below(alphabet).wrapping_mul(scatter);
+                if id == EMPTY {
+                    0
+                } else {
+                    id
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn maps_match_the_multi_pass_reference() {
+        let mut rng = DeterministicRng::seed(0x1D_3A9);
+        for case in 0..200 {
+            let ids = duplicate_heavy_stream(&mut rng);
+            for factor in [1.05, 1.5, 2.0, 4.0] {
+                let capacity = table_capacity_with_factor(ids.len(), factor);
+                assert_eq!(
+                    FusedIdMap::with_capacity_factor(factor).map(&ids),
+                    multi_pass_reference(&ids, capacity, false),
+                    "Fused-Map, case {case}, factor {factor}"
+                );
+            }
+            assert_eq!(
+                BaselineIdMap::new().map(&ids),
+                multi_pass_reference(&ids, table_capacity(ids.len()), true),
+                "baseline map, case {case}"
+            );
+        }
+    }
 
     #[test]
     fn capacity_is_power_of_two_and_roomy() {
