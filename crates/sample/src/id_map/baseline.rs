@@ -12,10 +12,12 @@
 //! Steps are separate kernels, so two device-wide synchronizations separate
 //! them, and every unique ID pays a serialized atomic in step 2. The event
 //! counts recorded here feed the simulator's sample-phase cost model.
+//!
+//! The replay walks the stream once, not once per kernel: steps 2 and 3
+//! look each ID up along the same probe chain that inserted it, so it
+//! charges each walk three times.
 
-use super::{fib_hash, table_capacity, IdMap, IdMapOutput, IdMapStats};
-
-const EMPTY: u64 = u64::MAX;
+use super::{linear_probe_pass, table_capacity, IdMap, IdMapOutput, IdMapStats};
 
 /// The DGL-style ID map. See the module docs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,71 +31,25 @@ impl BaselineIdMap {
 }
 
 impl IdMap for BaselineIdMap {
+    /// One linear-probing pass stands in for all three kernels: the
+    /// assign and transform kernels' lookups retrace the insert walks, so
+    /// `probes = 3 · walk`, and kernel 2 serializes once per unique ID.
     fn map(&self, ids: &[u64]) -> IdMapOutput {
-        let capacity = table_capacity(ids.len());
-        let bits = capacity.trailing_zeros();
-        let mut keys = vec![EMPTY; capacity];
-        let mut values = vec![0u64; capacity];
-        let mut stats = IdMapStats {
-            total_ids: ids.len() as u64,
-            kernel_launches: 3,
-            device_syncs: 2,
-            ..Default::default()
-        };
-
-        // Kernel 1: insert every ID into the table (duplicates collapse).
-        for &id in ids {
-            debug_assert_ne!(id, EMPTY, "EMPTY sentinel is reserved");
-            let mut slot = fib_hash(id, bits);
-            loop {
-                if keys[slot] == EMPTY {
-                    keys[slot] = id;
-                    break;
-                }
-                if keys[slot] == id {
-                    break;
-                }
-                slot = (slot + 1) & (capacity - 1);
-                stats.probes += 1;
-            }
-        }
-
-        // Kernel 2: assign local IDs in first-occurrence order. On the GPU
-        // every *new* ID requires a serialized atomic increment; we count
-        // one synchronization event per unique ID.
-        let mut unique = Vec::new();
-        let mut seen = vec![false; capacity];
-        for &id in ids {
-            let mut slot = fib_hash(id, bits);
-            while keys[slot] != id {
-                slot = (slot + 1) & (capacity - 1);
-                stats.probes += 1;
-            }
-            if !seen[slot] {
-                seen[slot] = true;
-                values[slot] = unique.len() as u64;
-                unique.push(id);
-                stats.sync_serializations += 1;
-            }
-        }
-        stats.unique_ids = unique.len() as u64;
-
-        // Kernel 3: transform the stream.
-        let mut locals = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let mut slot = fib_hash(id, bits);
-            while keys[slot] != id {
-                slot = (slot + 1) & (capacity - 1);
-                stats.probes += 1;
-            }
-            locals.push(values[slot]);
-            stats.lookups += 1;
-        }
-
+        let pass = linear_probe_pass(ids, table_capacity(ids.len()));
+        let unique_ids = pass.unique.len() as u64;
         IdMapOutput {
-            unique,
-            locals,
-            stats,
+            stats: IdMapStats {
+                total_ids: ids.len() as u64,
+                unique_ids,
+                probes: 3 * pass.walk,
+                kernel_launches: 3,
+                device_syncs: 2,
+                sync_serializations: unique_ids,
+                lookups: ids.len() as u64,
+                ..Default::default()
+            },
+            unique: pass.unique,
+            locals: pass.locals,
         }
     }
 

@@ -13,6 +13,8 @@
 //! * [`FusedIdMap::map`] — a deterministic sequential replay producing the
 //!   exact probe counts the simulator charges (insertion order is the input
 //!   order, so local IDs follow first occurrence; conflicts cannot occur).
+//!   It walks the stream once: the transform kernel's lookups retrace the
+//!   insert walks, so the replay charges each walk twice.
 //! * [`FusedIdMap::map_parallel`] — the real lock-free algorithm over
 //!   `AtomicU64` slots executed by true OS threads, demonstrating that the
 //!   fused construction is correct under genuine concurrency. Local-ID
@@ -20,7 +22,9 @@
 //!   mapping is always a valid bijection and the unique ID *set* is
 //!   identical to the sequential one.
 
-use super::{fib_hash, table_capacity_with_factor, IdMap, IdMapOutput, IdMapStats};
+use super::{
+    fib_hash, linear_probe_pass, table_capacity_with_factor, IdMap, IdMapOutput, IdMapStats,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const EMPTY: u64 = u64::MAX;
@@ -200,51 +204,23 @@ fn transform(
 impl IdMap for FusedIdMap {
     /// Deterministic sequential replay of Algorithm 2: identical table,
     /// probe counts, and first-occurrence local numbering on every run.
+    /// One linear-probing pass stands in for both kernels: the transform
+    /// kernel's lookups retrace the insert walks, so `probes = 2 · walk`.
     fn map(&self, ids: &[u64]) -> IdMapOutput {
         let capacity = table_capacity_with_factor(ids.len(), self.capacity_factor);
-        let bits = capacity.trailing_zeros();
-        let mask = capacity - 1;
-        let mut keys = vec![EMPTY; capacity];
-        let mut values = vec![0u64; capacity];
-        let mut unique = Vec::new();
-        let mut stats = IdMapStats {
-            total_ids: ids.len() as u64,
-            kernel_launches: 2,
-            device_syncs: 1,
-            ..Default::default()
-        };
-        for &id in ids {
-            debug_assert_ne!(id, EMPTY, "EMPTY sentinel is reserved");
-            let mut slot = fib_hash(id, bits);
-            loop {
-                if keys[slot] == EMPTY {
-                    keys[slot] = id;
-                    values[slot] = unique.len() as u64 + 1;
-                    unique.push(id);
-                    break;
-                }
-                if keys[slot] == id {
-                    break;
-                }
-                slot = (slot + 1) & mask;
-                stats.probes += 1;
-            }
-        }
-        stats.unique_ids = unique.len() as u64;
-        let mut locals = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let mut slot = fib_hash(id, bits);
-            while keys[slot] != id {
-                slot = (slot + 1) & mask;
-                stats.probes += 1;
-            }
-            locals.push(values[slot] - 1);
-            stats.lookups += 1;
-        }
+        let pass = linear_probe_pass(ids, capacity);
         IdMapOutput {
-            unique,
-            locals,
-            stats,
+            stats: IdMapStats {
+                total_ids: ids.len() as u64,
+                unique_ids: pass.unique.len() as u64,
+                probes: 2 * pass.walk,
+                kernel_launches: 2,
+                device_syncs: 1,
+                lookups: ids.len() as u64,
+                ..Default::default()
+            },
+            unique: pass.unique,
+            locals: pass.locals,
         }
     }
 

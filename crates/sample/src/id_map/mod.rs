@@ -16,6 +16,14 @@
 //!   parallel variant with real atomics validates lock-freedom; a
 //!   sequential replay provides deterministic event counts for the
 //!   simulator.
+//!
+//! Both sequential replays ([`IdMap::map`]) share one linear-probing pass
+//! over the stream. The table never deletes, so every lookup kernel's walk
+//! for an ID retraces the walk that inserted it; one walk therefore fixes
+//! the probe count of every kernel. Fused-Map charges `2 · walk` probes
+//! (insert + transform); the baseline charges `3 · walk` (insert, assign,
+//! transform) plus one serialized synchronization per unique ID. Both
+//! count one transform lookup per input ID.
 
 pub mod baseline;
 pub mod fused;
@@ -124,6 +132,62 @@ pub(crate) fn table_capacity_with_factor(n: usize, factor: f64) -> usize {
 #[inline]
 pub(crate) fn fib_hash(id: u64, bits: u32) -> usize {
     (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+}
+
+/// The result of [`linear_probe_pass`].
+pub(crate) struct ProbePass {
+    /// Distinct IDs in first-occurrence order.
+    pub unique: Vec<u64>,
+    /// The stream rewritten as local IDs.
+    pub locals: Vec<u64>,
+    /// Probe steps beyond the home slot, summed over every occurrence's
+    /// walk.
+    pub walk: u64,
+}
+
+/// Inserts `ids` in order into a linear-probing table of `capacity` slots
+/// (a power of two) and records each occurrence's local ID where its walk
+/// stops; a new ID takes the next local ID, so numbering follows first
+/// occurrence.
+///
+/// Nothing is ever deleted, so every later walk for an ID — any lookup
+/// kernel's — stops at the slot its first insertion claimed, after the
+/// same steps this walk took. A kernel-per-pass replay therefore costs
+/// exactly `walk` probes per pass, and the maps charge multiples of it.
+pub(crate) fn linear_probe_pass(ids: &[u64], capacity: usize) -> ProbePass {
+    let bits = capacity.trailing_zeros();
+    let mask = capacity - 1;
+    // Interleaved `[key + 1, local]` slots; key 0 marks an empty slot, so
+    // the table is zero-initialised memory.
+    let mut table = vec![[0u64; 2]; capacity];
+    let mut unique = Vec::new();
+    let mut locals = Vec::with_capacity(ids.len());
+    let mut walk = 0u64;
+    for &id in ids {
+        debug_assert_ne!(id, u64::MAX, "u64::MAX is reserved");
+        let key = id.wrapping_add(1);
+        let mut slot = fib_hash(id, bits);
+        let local = loop {
+            let [k, local] = table[slot];
+            if k == key {
+                break local;
+            }
+            if k == 0 {
+                let local = unique.len() as u64;
+                table[slot] = [key, local];
+                unique.push(id);
+                break local;
+            }
+            slot = (slot + 1) & mask;
+            walk += 1;
+        };
+        locals.push(local);
+    }
+    ProbePass {
+        unique,
+        locals,
+        walk,
+    }
 }
 
 #[cfg(test)]
