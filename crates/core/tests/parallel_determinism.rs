@@ -2,6 +2,8 @@
 //! bit-identical results at any thread count, and repeated runs at the
 //! same thread count are bit-identical too.
 
+use fastgl_core::cache::PARTITION_GRAIN_ROWS;
+use fastgl_core::FeatureCache;
 use fastgl_gnn::aggregate::{mean_aggregate, sum_aggregate_backward};
 use fastgl_graph::generate::rmat::{self, RmatConfig};
 use fastgl_graph::{DeterministicRng, NodeId};
@@ -162,4 +164,48 @@ fn full_minibatch_bit_identical_across_thread_counts() {
     }
     // Both maps number IDs in first-occurrence order, so they agree.
     assert_eq!(subgraphs[0], subgraphs[1], "ID maps disagree");
+}
+
+/// The cache partition's chunked merge must concatenate to the serial
+/// answer at any thread count, including cached runs that straddle a
+/// chunk boundary.
+#[test]
+fn cache_partition_bit_identical_across_thread_counts() {
+    let grain = PARTITION_GRAIN_ROWS;
+    let rows = 4 * grain + 123;
+    let workers = |threads| with_threads(threads, || parallel::plan_threads(rows, grain));
+    // The load must split, or only the serial merge would run.
+    assert!(workers(2) >= 2, "load too small to split at 2 threads");
+    assert!(
+        workers(8) > workers(2),
+        "load too small to split further at 8"
+    );
+
+    // A sorted load of every third ID.
+    let load: Vec<NodeId> = (0..rows as u64).map(|i| NodeId(3 * i)).collect();
+    // Cache a run of load rows around every chunk boundary, a sparse
+    // sprinkle of other load rows, and IDs between them that no load hits.
+    let mut ranking: Vec<NodeId> = Vec::new();
+    for threads in [2, 8] {
+        let t = workers(threads);
+        for k in 1..t {
+            let boundary = k * rows / t;
+            ranking.extend(load[boundary - 32..boundary + 32].iter().copied());
+        }
+    }
+    ranking.extend(load.iter().step_by(97).copied());
+    ranking.extend((0..rows as u64).step_by(5).map(|i| NodeId(3 * i + 1)));
+    let cache = FeatureCache::from_ranking(&ranking, ranking.len() as u64, 4);
+
+    let serial = with_threads(1, || cache.partition(&load));
+    let expected_hits = load.iter().filter(|&&n| cache.contains(n)).count() as u64;
+    assert_eq!(serial.0, expected_hits);
+    assert_eq!(serial.1.len() as u64, rows as u64 - expected_hits);
+    for threads in [2usize, 8] {
+        assert_eq!(
+            with_threads(threads, || cache.partition(&load)),
+            serial,
+            "cache partition diverged at {threads} threads"
+        );
+    }
 }
