@@ -84,11 +84,7 @@ fn overlapped_pipeline_attribution_sums_exactly_and_is_stable() {
     let mut reference: Option<critical_path::CriticalPath> = None;
     for (prefetch, threads) in MATRIX {
         fastgl_tensor::parallel::set_num_threads(threads);
-        let mut sys = Pipeline::new(
-            "factored",
-            config(prefetch).with_threads(threads),
-            policy,
-        );
+        let mut sys = Pipeline::new("factored", config(prefetch).with_threads(threads), policy);
         let stats = sys.run_epoch(&bundle, 0);
         let trace = sys.window_trace().expect("epoch ran");
         let cp = critical_path::analyze(trace);
