@@ -19,7 +19,7 @@ use fastgl_graph::{Csr, NodeId};
 /// Measured on a 2-vCPU x86 VM, the merge costs 5–8 µs per thousand rows
 /// and one fork-join of the backend's scoped threads 60–70 µs, so a split
 /// at a few thousand rows loses time. At this grain each worker merges for
-/// about half a millisecond; smaller loads stay on the calling thread.
+/// a third to half a millisecond; smaller loads stay on the calling thread.
 pub const PARTITION_GRAIN_ROWS: usize = 64 * 1024;
 
 /// An immutable set of cached node IDs with membership queries.

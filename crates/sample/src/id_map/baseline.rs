@@ -31,9 +31,6 @@ impl BaselineIdMap {
 }
 
 impl IdMap for BaselineIdMap {
-    /// One linear-probing pass stands in for all three kernels: the
-    /// assign and transform kernels' lookups retrace the insert walks, so
-    /// `probes = 3 · walk`, and kernel 2 serializes once per unique ID.
     fn map(&self, ids: &[u64]) -> IdMapOutput {
         let pass = linear_probe_pass(ids, table_capacity(ids.len()));
         let unique_ids = pass.unique.len() as u64;

@@ -204,8 +204,6 @@ fn transform(
 impl IdMap for FusedIdMap {
     /// Deterministic sequential replay of Algorithm 2: identical table,
     /// probe counts, and first-occurrence local numbering on every run.
-    /// One linear-probing pass stands in for both kernels: the transform
-    /// kernel's lookups retrace the insert walks, so `probes = 2 · walk`.
     fn map(&self, ids: &[u64]) -> IdMapOutput {
         let capacity = table_capacity_with_factor(ids.len(), self.capacity_factor);
         let pass = linear_probe_pass(ids, capacity);
