@@ -441,6 +441,41 @@ mod tests {
         assert!(with_git.to_json().contains("\"git\":\"abc1234\""));
     }
 
+    /// Pins every byte of the report export: field order, separators,
+    /// escapes (quote, backslash, newline, tab, control, non-ASCII) and
+    /// both provenance shapes.
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let mut t = Table::new("T \"q\"\t1", &["case", "x\\y"]);
+        t.push_row(vec!["a\nb".into(), "\u{1}é".into()]);
+        let mut r = Report::new("fig99", "golden \\ report");
+        r.note("line\r\nnext");
+        r.tables.push(t);
+        r.tables.push(Table::new("empty", &[]));
+        r.provenance = Some(Provenance {
+            profile: "quick".into(),
+            threads: "2".into(),
+            prefetch: "default".into(),
+            telemetry: true,
+            git: Some("ab\"c".into()),
+        });
+        assert_eq!(
+            r.to_json(),
+            "{\"id\":\"fig99\",\"description\":\"golden \\\\ report\",\
+             \"notes\":[\"line\\r\\nnext\"],\
+             \"tables\":[{\"title\":\"T \\\"q\\\"\\t1\",\"headers\":[\"case\",\"x\\\\y\"],\
+             \"rows\":[[\"a\\nb\",\"\\u0001é\"]]},\
+             {\"title\":\"empty\",\"headers\":[],\"rows\":[]}],\
+             \"provenance\":{\"profile\":\"quick\",\"threads\":\"2\",\
+             \"prefetch\":\"default\",\"telemetry\":true,\"git\":\"ab\\\"c\"}}\n"
+        );
+        r.provenance.as_mut().unwrap().git = None;
+        r.notes.clear();
+        let j = r.to_json();
+        assert!(j.contains("\"notes\":[],\"tables\""));
+        assert!(j.ends_with("\"telemetry\":true,\"git\":null}}\n"));
+    }
+
     #[test]
     fn provenance_current_reflects_the_environment() {
         // The test harness runs from the repo, so a revision resolves;
