@@ -21,8 +21,6 @@
 //!   reports: simulated values diff under an **exact** tier (any change
 //!   fails), wall-clock values under an opt-in relative-tolerance tier,
 //!   and run provenance guards against apples-to-oranges comparisons.
-//! * [`json`] — the dependency-free JSON parser the gate reads report
-//!   files with.
 //!
 //! DESIGN.md §11 documents the architecture and the tolerance-tier
 //! rationale.
@@ -30,7 +28,6 @@
 #![deny(missing_docs)]
 
 pub mod critical_path;
-pub mod json;
 pub mod memory;
 pub mod perfdiff;
 

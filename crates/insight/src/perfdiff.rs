@@ -24,7 +24,7 @@
 //! profiles is apples-to-oranges — the gate refuses rather than reporting
 //! nonsense regressions.
 
-use crate::json::{self, Value};
+use fastgl_telemetry::json::{self, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -60,77 +60,63 @@ pub struct ReportDoc {
 /// Returns a description of the first syntax or shape error.
 pub fn parse_report(text: &str) -> Result<ReportDoc, String> {
     let v = json::parse(text)?;
-    let str_field = |obj: &Value, key: &str| -> Result<String, String> {
-        obj.get(key)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("missing string field '{key}'"))
-    };
-    let id = str_field(&v, "id")?;
-    let description = str_field(&v, "description")?;
-    let mut tables = Vec::new();
-    for t in v
-        .get("tables")
-        .and_then(Value::as_arr)
-        .ok_or("missing 'tables' array")?
-    {
-        let str_vec = |key: &str| -> Result<Vec<String>, String> {
-            t.get(key)
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("table missing '{key}'"))?
-                .iter()
-                .map(|c| {
-                    c.as_str()
-                        .map(str::to_string)
-                        .ok_or("non-string cell".into())
-                })
-                .collect()
-        };
-        let mut rows = Vec::new();
-        for r in t
-            .get("rows")
-            .and_then(Value::as_arr)
-            .ok_or("table missing 'rows'")?
-        {
-            let cells: Result<Vec<String>, String> = r
-                .as_arr()
-                .ok_or("row is not an array")?
-                .iter()
-                .map(|c| {
-                    c.as_str()
-                        .map(str::to_string)
-                        .ok_or("non-string cell".into())
-                })
-                .collect();
-            rows.push(cells?);
-        }
-        tables.push(TableDoc {
-            title: str_field(t, "title")?,
-            headers: str_vec("headers")?,
-            rows,
-        });
-    }
-    let provenance = v.get("provenance").map(|p| match p {
-        Value::Obj(m) => m
-            .iter()
-            .map(|(k, val)| {
-                let s = match val {
-                    Value::Str(s) => s.clone(),
-                    Value::Bool(b) => b.to_string(),
-                    Value::Num(n) => format!("{n}"),
-                    other => format!("{other:?}"),
-                };
-                (k.clone(), s)
-            })
-            .collect(),
-        _ => BTreeMap::new(),
-    });
     Ok(ReportDoc {
-        id,
-        description,
-        tables,
-        provenance,
+        id: string(&v, "id")?,
+        description: string(&v, "description")?,
+        tables: array(&v, "tables")?
+            .iter()
+            .map(|t| {
+                Ok(TableDoc {
+                    title: string(t, "title")?,
+                    headers: strings(t.get("headers").ok_or("table missing 'headers'")?)?,
+                    rows: array(t, "rows")?
+                        .iter()
+                        .map(strings)
+                        .collect::<Result<_, _>>()?,
+                })
+            })
+            .collect::<Result<_, String>>()?,
+        provenance: v.get("provenance").map(|p| match p {
+            Value::Obj(m) => m
+                .iter()
+                .map(|(k, val)| {
+                    let s = match val {
+                        Value::Str(s) => s.clone(),
+                        Value::Bool(b) => b.to_string(),
+                        Value::Num(n) => format!("{n}"),
+                        other => format!("{other:?}"),
+                    };
+                    (k.clone(), s)
+                })
+                .collect(),
+            _ => BTreeMap::new(),
+        }),
     })
+}
+
+fn string(obj: &Value, key: &str) -> Result<String, String> {
+    obj.get(key)
+        .and_then(Value::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| format!("missing string field '{key}'"))
+}
+
+fn array<'a>(obj: &'a Value, key: &str) -> Result<&'a [Value], String> {
+    obj.get(key)
+        .and_then(Value::as_arr)
+        .ok_or_else(|| format!("missing '{key}' array"))
+}
+
+fn strings(v: &Value) -> Result<Vec<String>, String> {
+    v.as_arr()
+        .ok_or("expected an array of strings")?
+        .iter()
+        .map(|c| {
+            c.as_str()
+                .map(str::to_string)
+                .ok_or("non-string cell".into())
+        })
+        .collect()
 }
 
 /// How a column's cells are compared.

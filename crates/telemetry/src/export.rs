@@ -4,40 +4,15 @@
 //! The chrome trace loads directly in `chrome://tracing` or
 //! <https://ui.perfetto.dev>: wall-clock spans appear under process 1
 //! (one row per worker thread of the fork-join backend) and the bridged
-//! simulated-GPU phases under process 2. All JSON is hand-rolled — the
-//! crate is dependency-free — and escapes strings per RFC 8259.
+//! simulated-GPU phases under process 2. Each exporter writes its fields
+//! in a fixed order by hand, escaping strings and formatting numbers
+//! through [`crate::json`]; its tests read the output back with
+//! [`crate::json::parse`].
 
+use crate::json::{escape, number};
 use crate::span::{AttrValue, Snapshot, Track};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-
-/// Escapes a string for a JSON string literal (without the quotes).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an f64 as a JSON number (no NaN/Inf — clamped to 0).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
 
 fn attrs_json(attrs: &[(&'static str, AttrValue)]) -> String {
     let mut out = String::from("{");
@@ -46,9 +21,9 @@ fn attrs_json(attrs: &[(&'static str, AttrValue)]) -> String {
             out.push(',');
         }
         let _ = match v {
-            AttrValue::U64(x) => write!(out, "\"{}\":{x}", esc(k)),
-            AttrValue::F64(x) => write!(out, "\"{}\":{}", esc(k), num(*x)),
-            AttrValue::Str(s) => write!(out, "\"{}\":\"{}\"", esc(k), esc(s)),
+            AttrValue::U64(x) => write!(out, "\"{}\":{x}", escape(k)),
+            AttrValue::F64(x) => write!(out, "\"{}\":{}", escape(k), number(*x)),
+            AttrValue::Str(s) => write!(out, "\"{}\":\"{}\"", escape(k), escape(s)),
         };
     }
     out.push('}');
@@ -69,7 +44,7 @@ pub fn chrome_trace(snapshot: &Snapshot) -> String {
         format!(
             "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{what}\",\
              \"args\":{{\"name\":\"{}\"}}}}",
-            esc(name)
+            escape(name)
         )
     };
     events.push(meta(WALL_PID, 0, "process_name", "fastgl (wall clock)"));
@@ -87,9 +62,9 @@ pub fn chrome_trace(snapshot: &Snapshot) -> String {
         events.push(format!(
             "{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\
              \"ts\":{},\"dur\":{},\"args\":{}}}",
-            esc(e.name),
-            num(e.start_ns as f64 / 1e3),
-            num(e.dur_ns as f64 / 1e3),
+            escape(e.name),
+            number(e.start_ns as f64 / 1e3),
+            number(e.dur_ns as f64 / 1e3),
             attrs_json(&e.attrs),
         ));
     }
@@ -115,7 +90,7 @@ pub fn to_json(snapshot: &Snapshot) -> String {
         let _ = write!(
             out,
             "\n    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
-            esc(name),
+            escape(name),
             agg.count,
             agg.total_ns,
             agg.min_ns,
@@ -129,7 +104,7 @@ pub fn to_json(snapshot: &Snapshot) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\n    \"{}\": {}", esc(name), value);
+        let _ = write!(out, "\n    \"{}\": {}", escape(name), value);
     }
     out.push_str("\n  },\n");
 
@@ -152,12 +127,12 @@ pub fn to_json(snapshot: &Snapshot) -> String {
             out,
             "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
              \"mean\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"buckets\": [{}]}}",
-            esc(name),
+            escape(name),
             h.count,
             h.sum,
             if h.count == 0 { 0 } else { h.min },
             h.max,
-            num(h.mean()),
+            number(h.mean()),
             h.quantile(0.50),
             h.quantile(0.95),
             h.quantile(0.99),
@@ -171,7 +146,7 @@ pub fn to_json(snapshot: &Snapshot) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\n    \"{}\": {}", esc(name), ns);
+        let _ = write!(out, "\n    \"{}\": {}", escape(name), ns);
     }
     out.push_str("\n  }\n}\n");
     out
@@ -191,11 +166,13 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Renders one aligned text table (local helper mirroring the bench
-/// harness's table style; `fastgl-bench` cannot be a dependency here
-/// because every crate it depends on depends on this one).
-fn text_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+/// Renders one aligned text table: a `## title` line, the header row, a
+/// separator, and one row per entry, every column padded to its widest
+/// cell. The summary below and the bench harness's report tables both
+/// print through it.
+pub fn text_table(title: &str, headers: &[impl AsRef<str>], rows: &[Vec<String>]) -> String {
+    let headers: Vec<String> = headers.iter().map(|h| h.as_ref().to_string()).collect();
+    let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
     for row in rows {
         for (w, cell) in widths.iter_mut().zip(row) {
             *w = (*w).max(cell.len());
@@ -210,7 +187,6 @@ fn text_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
         }
         s.trim_end().to_string()
     };
-    let headers: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
     out.push_str(&line(&headers));
     out.push('\n');
     let mut sep = String::from("|");
@@ -355,79 +331,6 @@ mod tests {
     use crate::test_util::with_telemetry;
     use crate::{counter_add, observe, record_sim_phases, span};
 
-    /// A minimal recursive-descent JSON syntax checker: returns the rest of
-    /// the input after one value, or panics with a description. Enough to
-    /// prove the hand-rolled exporters emit well-formed JSON.
-    fn check_value(s: &str) -> &str {
-        let s = s.trim_start();
-        let Some(c) = s.chars().next() else {
-            panic!("unexpected end of JSON");
-        };
-        match c {
-            '{' => {
-                let mut s = s[1..].trim_start();
-                if let Some(rest) = s.strip_prefix('}') {
-                    return rest;
-                }
-                loop {
-                    s = check_string(s).trim_start();
-                    s = s.strip_prefix(':').expect("expected ':'");
-                    s = check_value(s).trim_start();
-                    if let Some(rest) = s.strip_prefix(',') {
-                        s = rest.trim_start();
-                    } else {
-                        return s.strip_prefix('}').expect("expected '}'");
-                    }
-                }
-            }
-            '[' => {
-                let mut s = s[1..].trim_start();
-                if let Some(rest) = s.strip_prefix(']') {
-                    return rest;
-                }
-                loop {
-                    s = check_value(s).trim_start();
-                    if let Some(rest) = s.strip_prefix(',') {
-                        s = rest.trim_start();
-                    } else {
-                        return s.strip_prefix(']').expect("expected ']'");
-                    }
-                }
-            }
-            '"' => check_string(s),
-            't' => s.strip_prefix("true").expect("bad literal"),
-            'f' => s.strip_prefix("false").expect("bad literal"),
-            'n' => s.strip_prefix("null").expect("bad literal"),
-            _ => {
-                let end = s
-                    .find(|c: char| !"+-0123456789.eE".contains(c))
-                    .unwrap_or(s.len());
-                assert!(end > 0, "expected a JSON value at {s:.20}");
-                s[..end].parse::<f64>().expect("bad number");
-                &s[end..]
-            }
-        }
-    }
-
-    fn check_string(s: &str) -> &str {
-        let mut chars = s.strip_prefix('"').expect("expected string").char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '\\' => {
-                    chars.next().expect("dangling escape");
-                }
-                '"' => return &s[1..][i + 1..],
-                _ => {}
-            }
-        }
-        panic!("unterminated string");
-    }
-
-    fn assert_valid_json(s: &str) {
-        let rest = check_value(s);
-        assert!(rest.trim().is_empty(), "trailing JSON content: {rest:.40}");
-    }
-
     fn populated() -> crate::Snapshot {
         {
             let _a = span("alpha").with_u64("rows", 10).with_str("q", "a\"b\\c");
@@ -443,7 +346,7 @@ mod tests {
     fn chrome_trace_is_valid_json_with_both_tracks() {
         with_telemetry(|| {
             let trace = chrome_trace(&populated());
-            assert_valid_json(&trace);
+            crate::json::parse(&trace).unwrap();
             assert!(trace.contains("\"traceEvents\""));
             assert!(trace.contains("\"ph\":\"X\""));
             assert!(trace.contains("fastgl (wall clock)"));
@@ -459,7 +362,7 @@ mod tests {
     fn telemetry_json_is_valid_and_complete() {
         with_telemetry(|| {
             let json = to_json(&populated());
-            assert_valid_json(&json);
+            crate::json::parse(&json).unwrap();
             assert!(json.contains("\"version\": 1"));
             assert!(json.contains("\"alpha\""));
             assert!(json.contains("\"bytes\": 4096"));
@@ -479,8 +382,8 @@ mod tests {
     fn empty_snapshot_exports_are_valid() {
         with_telemetry(|| {
             let snap = crate::snapshot();
-            assert_valid_json(&chrome_trace(&snap));
-            assert_valid_json(&to_json(&snap));
+            crate::json::parse(&chrome_trace(&snap)).unwrap();
+            crate::json::parse(&to_json(&snap)).unwrap();
             assert!(summary(&snap).contains("nothing recorded"));
         });
     }
@@ -507,21 +410,10 @@ mod tests {
             let (trace, perf) = write_to_dir(&snap, &dir, "unit").unwrap();
             let t = std::fs::read_to_string(&trace).unwrap();
             let p = std::fs::read_to_string(&perf).unwrap();
-            assert_valid_json(&t);
-            assert_valid_json(&p);
+            crate::json::parse(&t).unwrap();
+            crate::json::parse(&p).unwrap();
             let _ = std::fs::remove_dir_all(&dir);
         });
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(esc("plain"), "plain");
-        assert_eq!(esc("a\"b"), "a\\\"b");
-        assert_eq!(esc("a\\b"), "a\\\\b");
-        assert_eq!(esc("a\nb\tc"), "a\\nb\\tc");
-        assert_eq!(esc("\u{1}"), "\\u0001");
-        assert_eq!(num(f64::NAN), "0");
-        assert_eq!(num(1.5), "1.5");
     }
 
     #[test]

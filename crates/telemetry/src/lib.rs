@@ -19,7 +19,8 @@
 //!    associative and commutative, so totals are identical at any
 //!    `FASTGL_THREADS` setting.
 //! 3. **No dependencies.** Like the rest of the workspace, the crate builds
-//!    offline; the exporters hand-roll their JSON.
+//!    offline; the exporters write their JSON by hand through [`json`],
+//!    which is also the workspace's one JSON parser.
 //!
 //! # Two timelines
 //!
@@ -52,6 +53,7 @@
 #![deny(missing_docs)]
 
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod names;
 pub mod span;

@@ -1,195 +1,24 @@
 //! Schema validation of the chrome-trace exporter, replacing the old CI
-//! shell step: generate a trace through the public API, parse it with a
-//! real (if small) JSON parser, and assert the conventions downstream
+//! shell step: generate a trace through the public API, parse it with
+//! [`fastgl_telemetry::json`], and assert the conventions downstream
 //! tooling relies on — event phases, pid/tid assignment, metadata, and
 //! proper span nesting per thread.
 
 use fastgl_telemetry as telemetry;
 use telemetry::export::{chrome_trace, SIM_PID, WALL_PID};
+use telemetry::json::{self, Value};
 
-// -------------------------------------------------------------------
-// Minimal JSON parser (the crate is dependency-free by design, so the
-// test brings its own). Parses into a Value tree; panics on malformed
-// input, which is itself a schema failure.
-// -------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
+fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
+    v.get(key)
+        .unwrap_or_else(|| panic!("missing field {key:?} in {v:?}"))
 }
 
-impl Value {
-    fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> &str {
-        match self {
-            Value::Str(s) => s,
-            other => panic!("expected string, got {other:?}"),
-        }
-    }
-
-    fn as_num(&self) -> f64 {
-        match self {
-            Value::Num(n) => *n,
-            other => panic!("expected number, got {other:?}"),
-        }
-    }
-
-    fn as_arr(&self) -> &[Value] {
-        match self {
-            Value::Arr(items) => items,
-            other => panic!("expected array, got {other:?}"),
-        }
-    }
+fn str_field<'a>(v: &'a Value, key: &str) -> &'a str {
+    field(v, key).as_str().expect("string field")
 }
 
-fn parse(input: &str) -> Value {
-    let bytes = input.as_bytes();
-    let mut pos = 0;
-    let v = parse_value(bytes, &mut pos);
-    skip_ws(bytes, &mut pos);
-    assert_eq!(pos, bytes.len(), "trailing content after JSON value");
-    v
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Value {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Value::Obj(fields);
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos) {
-                    Value::Str(s) => s,
-                    other => panic!("object key must be a string, got {other:?}"),
-                };
-                skip_ws(b, pos);
-                assert_eq!(b.get(*pos), Some(&b':'), "expected ':'");
-                *pos += 1;
-                let val = parse_value(b, pos);
-                fields.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Value::Obj(fields);
-                    }
-                    other => panic!("expected ',' or '}}', got {other:?}"),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Value::Arr(items);
-            }
-            loop {
-                items.push(parse_value(b, pos));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Value::Arr(items);
-                    }
-                    other => panic!("expected ',' or ']', got {other:?}"),
-                }
-            }
-        }
-        Some(b'"') => {
-            *pos += 1;
-            let mut s = String::new();
-            loop {
-                match b.get(*pos) {
-                    Some(b'"') => {
-                        *pos += 1;
-                        return Value::Str(s);
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match b.get(*pos) {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'u') => {
-                                let hex = std::str::from_utf8(&b[*pos + 1..*pos + 5]).unwrap();
-                                let code = u32::from_str_radix(hex, 16).expect("bad \\u escape");
-                                s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                                *pos += 4;
-                            }
-                            other => panic!("bad escape {other:?}"),
-                        }
-                        *pos += 1;
-                    }
-                    Some(&c) => {
-                        // Multi-byte UTF-8 sequences pass through verbatim.
-                        let len = match c {
-                            0x00..=0x7f => 1,
-                            0xc0..=0xdf => 2,
-                            0xe0..=0xef => 3,
-                            _ => 4,
-                        };
-                        s.push_str(std::str::from_utf8(&b[*pos..*pos + len]).unwrap());
-                        *pos += len;
-                    }
-                    None => panic!("unterminated string"),
-                }
-            }
-        }
-        Some(b't') => {
-            assert_eq!(&b[*pos..*pos + 4], b"true");
-            *pos += 4;
-            Value::Bool(true)
-        }
-        Some(b'f') => {
-            assert_eq!(&b[*pos..*pos + 5], b"false");
-            *pos += 5;
-            Value::Bool(false)
-        }
-        Some(b'n') => {
-            assert_eq!(&b[*pos..*pos + 4], b"null");
-            *pos += 4;
-            Value::Null
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len() && (b[*pos].is_ascii_digit() || b"+-.eE".contains(&b[*pos])) {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&b[start..*pos]).unwrap();
-            Value::Num(text.parse().expect("bad number"))
-        }
-        None => panic!("unexpected end of JSON"),
-    }
+fn num_field(v: &Value, key: &str) -> f64 {
+    field(v, key).as_num().expect("numeric field")
 }
 
 // -------------------------------------------------------------------
@@ -235,12 +64,11 @@ fn generate_trace() -> String {
 #[test]
 fn chrome_trace_schema_holds() {
     let trace = generate_trace();
-    let root = parse(&trace);
+    let root = json::parse(&trace).expect("the trace is valid JSON");
 
-    let events = root
-        .get("traceEvents")
-        .expect("top-level traceEvents array")
-        .as_arr();
+    let events = field(&root, "traceEvents")
+        .as_arr()
+        .expect("top-level traceEvents array");
     assert!(!events.is_empty());
 
     let mut spans: Vec<Span> = Vec::new();
@@ -248,37 +76,29 @@ fn chrome_trace_schema_holds() {
     let mut thread_names: Vec<(u64, u64, String)> = Vec::new();
 
     for e in events {
-        let ph = e.get("ph").expect("every event has ph").as_str();
-        let pid = e.get("pid").expect("every event has pid").as_num() as u64;
-        let tid = e.get("tid").expect("every event has tid").as_num() as u64;
-        match ph {
+        let pid = num_field(e, "pid") as u64;
+        let tid = num_field(e, "tid") as u64;
+        match str_field(e, "ph") {
             "M" => {
-                let what = e.get("name").unwrap().as_str();
-                let arg = e
-                    .get("args")
-                    .and_then(|a| a.get("name"))
-                    .expect("metadata args.name")
-                    .as_str()
-                    .to_string();
-                match what {
+                let arg = str_field(field(e, "args"), "name").to_string();
+                match str_field(e, "name") {
                     "process_name" => process_names.push((pid, arg)),
                     "thread_name" => thread_names.push((pid, tid, arg)),
                     other => panic!("unexpected metadata record {other}"),
                 }
             }
             "X" => {
-                let cat = e.get("cat").expect("X events carry a category").as_str();
                 assert_eq!(
-                    cat,
+                    str_field(e, "cat"),
                     if pid == WALL_PID { "wall" } else { "sim" },
                     "category matches the track"
                 );
                 spans.push(Span {
-                    name: e.get("name").unwrap().as_str().to_string(),
+                    name: str_field(e, "name").to_string(),
                     pid,
                     tid,
-                    ts: e.get("ts").unwrap().as_num(),
-                    dur: e.get("dur").unwrap().as_num(),
+                    ts: num_field(e, "ts"),
+                    dur: num_field(e, "dur"),
                 });
             }
             other => panic!("unexpected event phase {other:?} (only X and M are emitted)"),
