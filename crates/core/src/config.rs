@@ -210,13 +210,7 @@ impl FastGlConfig {
     /// The environment is re-read on every call so tests can vary it
     /// within one process.
     pub fn resolved_prefetch(&self) -> usize {
-        if let Some(depth) = self.prefetch_windows {
-            return depth;
-        }
-        std::env::var("FASTGL_PREFETCH")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(0)
+        self.prefetch_windows.unwrap_or_else(env_prefetch)
     }
 
     /// Installs this config's thread count as the process-wide setting of
@@ -297,6 +291,15 @@ impl Default for FastGlConfig {
             faults: None,
         }
     }
+}
+
+/// The `FASTGL_PREFETCH` window-pipeline depth, else `0` (serial): the
+/// simulator's fallback and the numeric trainer's only depth setting.
+pub(crate) fn env_prefetch() -> usize {
+    std::env::var("FASTGL_PREFETCH")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(0)
 }
 
 #[cfg(test)]

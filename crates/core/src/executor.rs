@@ -1,31 +1,115 @@
-//! Asynchronous stage-pipelined epoch execution (paper §6.5 / Fig. 5).
+//! Asynchronous stage-pipelined window execution (paper §6.5 / Fig. 5).
 //!
 //! FastGL overlaps the sample, reorder/match, and feature-load/compute
 //! phases of *different* mini-batch windows: while window `w` trains, the
-//! sampler already draws window `w + 1`. This module provides that overlap
-//! for the host-side execution of [`crate::pipeline::Pipeline`] as a
-//! generic three-stage producer/consumer pipeline over bounded channels:
-//!
-//! * **sample** — draw a window of mini-batch subgraphs (Fused-Map);
-//! * **prepare** — reorder the window (Algorithm 1) and build each batch's
-//!   Match load set against the resident set;
-//! * **execute** — feature load + compute, on the caller's thread.
+//! sampler already draws window `w + 1`. This module is the crate's one
+//! window loop, shared by the simulated [`crate::pipeline::Pipeline`] and
+//! the numeric [`crate::trainer`]: a `WindowPlan` cuts an epoch into
+//! windows, and a [`PipelineExecutor`] runs them through three stages
+//! over bounded channels — **sample** the window, **prepare** it (reorder;
+//! the simulator also builds Match load sets) and **execute** it (feature
+//! load + compute, or a real training step) on the caller's thread.
 //!
 //! The pipeline changes **wall-clock behaviour only**. Windows flow
 //! strictly FIFO through single-producer/single-consumer channels, every
 //! stage closure observes them in the same order the serial loop would,
-//! and all randomness is derived per batch index upstream — so simulated
-//! times, statistics, and floating-point accumulations are bit-identical
-//! at any prefetch depth (including the depth-0 serial path) and any
-//! `FASTGL_THREADS` setting.
+//! and all randomness is derived per batch index by the plan — so
+//! simulated times, statistics, trained weights and floating-point
+//! accumulations are bit-identical at any prefetch depth (including the
+//! depth-0 serial path) and any `FASTGL_THREADS` setting.
 //!
 //! Per-stage busy/stall wall time is reported as [`PipelineWallStats`] and
 //! exported through `fastgl-telemetry` histograms, giving the pipeline an
 //! observable efficiency figure (how much of each stage's wall time was
 //! useful work vs. waiting on its neighbours).
 
+use crate::match_reorder::greedy_reorder;
+use fastgl_graph::{DeterministicRng, NodeId};
+use fastgl_sample::overlap::match_degree_matrix;
+use fastgl_sample::{MinibatchPlan, SampledSubgraph};
+use std::ops::Range;
 use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
+
+/// An epoch's mini-batch plan cut into windows: the one rule, shared by
+/// the simulator and the trainer, for which batches form a window, which
+/// RNG stream each batch draws from, and in which order a sampled window
+/// runs.
+///
+/// Batch `i` of the plan belongs to window `i / window` and draws from the
+/// stream `base.derive(i)`, so its draws depend only on its plan position
+/// — never on the stage, thread, prefetch depth or resume point that
+/// samples it.
+pub(crate) struct WindowPlan<'p> {
+    plan: &'p MinibatchPlan,
+    window: usize,
+    base: DeterministicRng,
+    reorder: bool,
+}
+
+impl<'p> WindowPlan<'p> {
+    /// Cuts `plan` into windows of `window` batches (the last may be
+    /// shorter). Batch streams derive from `base`; `reorder` turns on
+    /// Algorithm 1 within each window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero.
+    pub fn new(
+        plan: &'p MinibatchPlan,
+        window: usize,
+        base: DeterministicRng,
+        reorder: bool,
+    ) -> Self {
+        assert!(window >= 1, "a window holds at least one batch");
+        Self {
+            plan,
+            window,
+            base,
+            reorder,
+        }
+    }
+
+    /// The windows holding the plan batches `batches`.
+    pub fn covering(&self, batches: Range<usize>) -> Range<usize> {
+        batches.start / self.window..batches.end.div_ceil(self.window)
+    }
+
+    /// Plan indices of window `w`'s batches.
+    pub fn batches(&self, w: usize) -> Range<usize> {
+        w * self.window..((w + 1) * self.window).min(self.plan.len())
+    }
+
+    /// The RNG stream of plan batch `index`.
+    pub fn rng(&self, index: usize) -> DeterministicRng {
+        self.base.derive(index as u64)
+    }
+
+    /// Draws window `w`: calls `draw(index, seeds, rng)` for each of its
+    /// batches in plan order, `rng` being that batch's own stream.
+    pub fn sample<T>(
+        &self,
+        w: usize,
+        mut draw: impl FnMut(usize, &'p [NodeId], &mut DeterministicRng) -> T,
+    ) -> Vec<T> {
+        self.batches(w)
+            .map(|i| draw(i, self.plan.batch(i), &mut self.rng(i)))
+            .collect()
+    }
+
+    /// The execution order of a sampled window, as positions into it:
+    /// the greedy order of Algorithm 1 when reorder is on and the window
+    /// holds more than one batch, plan order otherwise.
+    pub fn order<'s>(&self, window: impl IntoIterator<Item = &'s SampledSubgraph>) -> Vec<usize> {
+        let subgraphs: Vec<&SampledSubgraph> = window.into_iter().collect();
+        if self.reorder && subgraphs.len() > 1 {
+            let sets: Vec<&[NodeId]> = subgraphs.iter().map(|s| s.sorted_global_ids()).collect();
+            greedy_reorder(&match_degree_matrix(&sets))
+        } else {
+            (0..subgraphs.len()).collect()
+        }
+    }
+}
 
 /// Wall-clock accounting of one pipeline stage.
 ///
@@ -207,20 +291,10 @@ impl PipelineExecutor {
         self
     }
 
-    /// The configured prefetch depth.
-    pub fn prefetch(&self) -> usize {
-        self.prefetch
-    }
-
-    /// The configured per-window panic-replay budget of the worker stages.
-    pub fn stage_retries(&self) -> usize {
-        self.stage_retries
-    }
-
-    /// Runs `windows` items through `sample → prepare → execute`.
+    /// Runs the `windows` through `sample → prepare → execute`.
     ///
-    /// Stages see windows in index order (`0..windows`), exactly as the
-    /// serial loop would; `execute` always runs on the calling thread, so
+    /// Stages see windows in index order, exactly as the serial loop
+    /// would; `execute` always runs on the calling thread, so
     /// it may borrow caller state mutably without synchronisation.
     ///
     /// # Panics
@@ -230,7 +304,7 @@ impl PipelineExecutor {
     /// [`with_stage_retries`](Self::with_stage_retries) budget is spent.
     pub fn run<W, P, FS, FP, FE>(
         &self,
-        windows: usize,
+        windows: Range<usize>,
         mut sample: FS,
         mut prepare: FP,
         mut execute: FE,
@@ -242,7 +316,10 @@ impl PipelineExecutor {
         FP: FnMut(usize, W) -> P + Send,
         FE: FnMut(usize, P),
     {
-        fastgl_telemetry::counter_add(fastgl_telemetry::names::PIPELINE_WINDOWS, windows as u64);
+        fastgl_telemetry::counter_add(
+            fastgl_telemetry::names::PIPELINE_WINDOWS,
+            windows.len() as u64,
+        );
         let mut stats = PipelineWallStats {
             prefetch: self.prefetch,
             channel_bound: self.channel_bound,
@@ -250,7 +327,7 @@ impl PipelineExecutor {
         };
         let retries = self.stage_retries;
         if self.prefetch == 0 {
-            for w in 0..windows {
+            for w in windows {
                 let item = timed_replayed(
                     &mut stats.sample,
                     "pipeline.stage.sample",
@@ -278,7 +355,7 @@ impl PipelineExecutor {
 
             let sampler = scope.spawn(move || {
                 let mut st = StageWallStats::default();
-                for w in 0..windows {
+                for w in windows {
                     let item =
                         timed_replayed(&mut st, "pipeline.stage.sample", w, retries, || sample(w));
                     let wait = Instant::now();
@@ -346,7 +423,7 @@ mod tests {
     ) -> (Vec<(usize, u64)>, PipelineWallStats) {
         let mut seen = Vec::new();
         let stats = executor.run(
-            windows,
+            0..windows,
             |w| w as u64 * 10,
             |w, x| x + w as u64,
             |w, x| seen.push((w, x)),
@@ -401,7 +478,7 @@ mod tests {
         let mut carried = 0u64;
         let mut out = Vec::new();
         PipelineExecutor::new(3).run(
-            10,
+            0..10,
             |w| w as u64,
             move |_, x| {
                 carried += x;
@@ -426,7 +503,7 @@ mod tests {
         let windows = 8;
         let work = |_w: usize| std::thread::sleep(delay);
         let start = Instant::now();
-        PipelineExecutor::new(1).run(windows, work, |_, _| (), move |w, _| work(w));
+        PipelineExecutor::new(1).run(0..windows, work, |_, _| (), move |w, _| work(w));
         let piped = start.elapsed();
         let serial = delay * 2 * windows as u32;
         assert!(
@@ -439,7 +516,7 @@ mod tests {
     fn stage_panic_propagates() {
         let result = std::panic::catch_unwind(|| {
             PipelineExecutor::new(2).run(
-                6,
+                0..6,
                 |w| w,
                 |_, w| {
                     if w == 3 {
@@ -491,7 +568,7 @@ mod tests {
         for depth in [0usize, 2] {
             let mut seen = Vec::new();
             let stats = PipelineExecutor::new(depth).with_stage_retries(2).run(
-                6,
+                0..6,
                 flaky_sample(3, 1),
                 |w, x| x + w as u64,
                 |w, x| seen.push((w, x)),
@@ -506,7 +583,7 @@ mod tests {
     fn exhausted_replay_budget_propagates() {
         let result = std::panic::catch_unwind(|| {
             PipelineExecutor::new(2).with_stage_retries(1).run(
-                6,
+                0..6,
                 flaky_sample(2, 5),
                 |_, x: u64| x,
                 |_, _| (),
@@ -518,9 +595,26 @@ mod tests {
     #[test]
     fn zero_retries_is_todays_behaviour() {
         let result = std::panic::catch_unwind(|| {
-            PipelineExecutor::new(0).run(4, flaky_sample(1, 1), |_, x: u64| x, |_, _| ());
+            PipelineExecutor::new(0).run(0..4, flaky_sample(1, 1), |_, x: u64| x, |_, _| ());
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn window_plan_cuts_ragged_plans_and_derives_streams_by_plan_index() {
+        let nodes: Vec<NodeId> = (0..50).map(NodeId).collect();
+        let plan = MinibatchPlan::new(&nodes, 10, 1, 0);
+        let base = DeterministicRng::seed(9);
+        let windows = WindowPlan::new(&plan, 3, base.clone(), false);
+        assert_eq!(windows.covering(0..plan.len()), 0..2);
+        assert_eq!(windows.batches(1), 3..5, "the last window is ragged");
+        // A resume at batch 4 up to a halt at 5 touches only window 1.
+        assert_eq!(windows.covering(4..5), 1..2);
+        let drawn = windows.sample(1, |i, seeds, rng| (i, seeds.to_vec(), rng.clone()));
+        for (i, seeds, rng) in drawn {
+            assert_eq!(seeds, plan.batch(i));
+            assert_eq!(rng, base.derive(i as u64));
+        }
     }
 
     #[test]

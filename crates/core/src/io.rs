@@ -71,13 +71,6 @@ impl IoEngine {
         out
     }
 
-    /// Time for a small topology transfer (subgraph CSR); these are
-    /// prefetched and overlapped with compute in every system (paper §6.5),
-    /// so callers usually only account the latency component.
-    pub fn topology_transfer(&mut self, bytes: u64) -> SimTime {
-        self.pcie.h2d(bytes)
-    }
-
     /// Feature bytes moved host→device so far.
     pub fn bytes_h2d(&self) -> u64 {
         self.pcie.h2d_total()

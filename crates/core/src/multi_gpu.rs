@@ -8,7 +8,6 @@
 //! cost, and GNNLab's sample-hiding — which [`crate::pipeline::Pipeline`]
 //! applies.
 
-use fastgl_gpusim::overlap;
 use fastgl_gpusim::transfer::ring_allreduce_time;
 use fastgl_gpusim::{SimTime, SystemSpec};
 
@@ -54,57 +53,22 @@ impl GpuRoles {
         self.trainers as f64
     }
 
-    /// GNNLab's visible sample time: `samplers` GPUs sample for all
-    /// `trainers`, overlapped with training; only the excess shows.
-    ///
-    /// This is the infinite-buffer steady-state bound
-    /// ([`overlap::steady_state_visible`]) of the shared overlap model —
-    /// the per-window variant below tightens it with fill/drain effects.
-    ///
-    /// With no dedicated samplers the sampling is on the critical path and
-    /// returned unchanged.
-    pub fn visible_sample_time(
-        &self,
-        shard_sample_total: SimTime,
-        train_total: SimTime,
-    ) -> SimTime {
-        if self.samplers == 0 {
-            return shard_sample_total;
-        }
-        let sampler_work = shard_sample_total * (self.trainers as f64 / self.samplers as f64);
-        overlap::steady_state_visible(sampler_work, train_total)
-    }
-
-    /// Per-window visible sample time: the dedicated samplers produce
-    /// window `w + 1` while the trainers consume window `w`, so only the
-    /// pipeline fill plus any window where sampling outruns training shows
-    /// on the critical path ([`overlap::hidden_stage_visible`]).
+    /// GNNLab's visible sample time, window by window: `samplers` GPUs
+    /// sample for all `trainers` and produce window `w + 1` while the
+    /// trainers consume window `w`, so only the pipeline fill plus any
+    /// window where sampling outruns training shows on the critical path.
     ///
     /// `sample[w]` is the shard's sampling time of window `w`; `train[w]`
-    /// is the trainers' IO + compute time of the same window. Each
-    /// sampler GPU serves `trainers / samplers` shards, scaling the
-    /// producer side exactly as [`Self::visible_sample_time`] does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn visible_sample_windows(&self, sample: &[SimTime], train: &[SimTime]) -> SimTime {
-        if self.samplers == 0 {
-            return sample.iter().copied().sum();
-        }
-        let ratio = self.trainers as f64 / self.samplers as f64;
-        let produced: Vec<SimTime> = sample.iter().map(|&s| s * ratio).collect();
-        overlap::hidden_stage_visible(&produced, train)
-    }
-
-    /// Per-window decomposition of [`Self::visible_sample_windows`]: entry
-    /// `w` is the sampling time of window `w` that the overlap model leaves
-    /// on the critical path. The identity `max(p, c) - c = p ∸ c` (truncated
-    /// subtraction, exact on nanosecond integers) splits the aggregate bound
-    /// window by window — the fill (`produced[0]`) charges to window 0 and
-    /// each later window charges only its production excess over the
-    /// preceding window's training — so the entries sum to the aggregate
-    /// **exactly**, which `fastgl-insight`'s attribution relies on.
+    /// is the trainers' IO + compute time of the same window. Each sampler
+    /// GPU serves `trainers / samplers` shards, scaling the producer side.
+    /// Entry `w` is the sampling time of window `w` left visible: the fill
+    /// (`produced[0]`) charges to window 0 and each later window charges
+    /// only its production excess over the preceding window's training.
+    /// By the identity `max(p, c) - c = p ∸ c` (exact on nanosecond
+    /// integers), the entries sum **exactly** to the depth-1 pipeline
+    /// bound [`fastgl_gpusim::overlap::hidden_stage_visible`], which `fastgl-insight`'s
+    /// attribution relies on. With no dedicated samplers the sampling is
+    /// on the critical path and returned unchanged.
     ///
     /// # Panics
     ///
@@ -134,29 +98,10 @@ impl GpuRoles {
     }
 }
 
-/// Expected parallel speedup of an epoch whose solo breakdown is
-/// `(sample, io, compute)` when run on `n` trainer GPUs, under this
-/// module's model (perfect shard parallelism, contended gathers, per-batch
-/// all-reduce). Used by tests and the scalability experiment as a
-/// closed-form cross-check of the pipeline's behaviour.
-pub fn ideal_epoch_time(
-    sample: SimTime,
-    io_gather: SimTime,
-    io_copy: SimTime,
-    compute: SimTime,
-    allreduce_total: SimTime,
-    trainers: usize,
-) -> SimTime {
-    assert!(trainers > 0, "need at least one trainer");
-    let n = trainers as u64;
-    // Sample, PCIe copies, and compute divide across shards; the host
-    // gather divides but is re-multiplied by contention (net unchanged).
-    sample / n + io_gather + io_copy / n + compute / n + allreduce_total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastgl_gpusim::overlap;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -186,41 +131,11 @@ mod tests {
     }
 
     #[test]
-    fn sample_hiding_semantics() {
-        let r = GpuRoles::new(2, 1); // 1 trainer, 1 sampler
-                                     // Sampler keeps up: fully hidden.
-        assert_eq!(r.visible_sample_time(t(100), t(500)), SimTime::ZERO);
-        // Sampler falls behind: the excess shows.
-        assert_eq!(r.visible_sample_time(t(800), t(500)), t(300));
-        // No dedicated sampler: nothing hidden.
-        let plain = GpuRoles::new(2, 0);
-        assert_eq!(plain.visible_sample_time(t(800), t(500)), t(800));
-    }
-
-    #[test]
-    fn per_window_hiding_charges_only_fill_and_excess() {
-        let r = GpuRoles::new(2, 1); // 1 trainer, 1 sampler
-        let sample = [t(100), t(100), t(100)];
-        let train = [t(500), t(500), t(500)];
-        // Sampler keeps up: only the first window's fill is visible.
-        assert_eq!(r.visible_sample_windows(&sample, &train), t(100));
-        // Sampler falls behind on every window: fill + per-window excess.
-        let slow = [t(800), t(800), t(800)];
-        assert_eq!(r.visible_sample_windows(&slow, &train), t(800 + 300 + 300));
-        // No dedicated sampler: the full sum is on the critical path.
-        let plain = GpuRoles::new(2, 0);
-        assert_eq!(plain.visible_sample_windows(&slow, &train), t(2_400));
-        // Never less than the steady-state bound for the same totals.
-        let windows = r.visible_sample_windows(&slow, &train);
-        let steady = r.visible_sample_time(t(2_400), t(1_500));
-        assert!(windows >= steady);
-    }
-
-    #[test]
     fn per_window_decomposition_sums_exactly_to_the_aggregate() {
         // Irregular, tie-heavy inputs across several role splits: the
-        // per-window entries must reproduce the aggregate bound to the
-        // nanosecond, including the float producer scaling.
+        // per-window entries must reproduce the depth-1 pipeline bound of
+        // the scaled producer to the nanosecond, including the float
+        // producer scaling.
         for (gpus, samplers) in [(2usize, 1usize), (8, 2), (8, 3), (4, 0)] {
             let r = GpuRoles::new(gpus, samplers);
             let sample: Vec<SimTime> = (0..17).map(|i| t(37 * (i % 5) + i)).collect();
@@ -228,11 +143,14 @@ mod tests {
             let per = r.visible_sample_per_window(&sample, &train);
             assert_eq!(per.len(), sample.len());
             let sum: SimTime = per.iter().copied().sum();
-            assert_eq!(
-                sum,
-                r.visible_sample_windows(&sample, &train),
-                "roles {gpus}/{samplers}"
-            );
+            let aggregate = if samplers == 0 {
+                sample.iter().copied().sum()
+            } else {
+                let ratio = r.trainers as f64 / r.samplers as f64;
+                let produced: Vec<SimTime> = sample.iter().map(|&s| s * ratio).collect();
+                overlap::hidden_stage_visible(&produced, &train)
+            };
+            assert_eq!(sum, aggregate, "roles {gpus}/{samplers}");
         }
     }
 
@@ -252,6 +170,12 @@ mod tests {
             r.visible_sample_per_window(&slow, &train),
             vec![t(800), t(300), t(300)]
         );
+        // No dedicated sampler: nothing is hidden.
+        let plain = GpuRoles::new(2, 0);
+        assert_eq!(
+            plain.visible_sample_per_window(&slow, &train),
+            slow.to_vec()
+        );
     }
 
     #[test]
@@ -263,16 +187,11 @@ mod tests {
 
     #[test]
     fn two_samplers_halve_the_sampler_work() {
-        let r = GpuRoles::new(8, 2); // 6 trainers, 2 samplers
-                                     // Work = 6/2 * shard sample.
-        assert_eq!(r.visible_sample_time(t(100), SimTime::ZERO), t(300));
-    }
-
-    #[test]
-    fn ideal_scaling_is_sublinear_with_fixed_gather() {
-        let one = ideal_epoch_time(t(100), t(300), t(300), t(300), SimTime::ZERO, 1);
-        let four = ideal_epoch_time(t(100), t(300), t(300), t(300), t(20), 4);
-        let speedup = one.as_secs_f64() / four.as_secs_f64();
-        assert!(speedup > 1.5 && speedup < 4.0, "speedup {speedup}");
+        // 6 trainers, 2 samplers: the work is 6/2 times the shard sample.
+        let r = GpuRoles::new(8, 2);
+        assert_eq!(
+            r.visible_sample_per_window(&[t(100)], &[SimTime::ZERO]),
+            vec![t(300)]
+        );
     }
 }

@@ -1,6 +1,14 @@
 //! The training pipeline of Fig. 5: sample a window of mini-batches,
 //! reorder them, then alternate Match-loading and computation.
 //!
+//! An epoch is a `WindowPlan` run through the [`PipelineExecutor`] in
+//! three named stages: the sample stage draws each window through the
+//! plan, the prepare stage (`MatchStage`) reorders it and matches every
+//! batch against the resident set, and the execute stage
+//! (`ExecuteStage`) loads and prices each batch into one accumulator,
+//! which `Pipeline::finish` turns into [`EpochStats`] and the window
+//! trace.
+//!
 //! The same [`Pipeline`] drives FastGL *and* every baseline — they differ
 //! only in the [`PipelinePolicy`] and [`FastGlConfig`] knobs (sample
 //! device, ID-map strategy, Match/Reorder, cache policy, compute mode,
@@ -17,10 +25,10 @@
 use crate::cache::FeatureCache;
 use crate::compute::ComputeEngine;
 use crate::config::FastGlConfig;
-use crate::executor::{PipelineExecutor, PipelineWallStats};
+use crate::executor::{PipelineExecutor, PipelineWallStats, WindowPlan};
 use crate::hotness::{rank_nodes, CacheRankPolicy, HotnessCounter};
 use crate::io::IoEngine;
-use crate::match_reorder::{greedy_reorder, match_load_set};
+use crate::match_reorder::match_load_set;
 use crate::memory_model::estimate_batch_memory;
 use crate::multi_gpu::GpuRoles;
 use crate::resilience::{FaultInjector, ResilienceStats};
@@ -28,9 +36,9 @@ use crate::sampler::{SampleTiming, SamplerEngine};
 use crate::stage_trace::{EpochWindowTrace, WindowPhases};
 use crate::system::{EpochStats, TrainingSystem};
 use fastgl_gnn::{census, ModelConfig};
-use fastgl_gpusim::{PhaseBreakdown, SimTime};
+use fastgl_gpusim::fault::RetryCostModel;
+use fastgl_gpusim::SimTime;
 use fastgl_graph::{DatasetBundle, DeterministicRng, NodeId};
-use fastgl_sample::overlap::match_degree_matrix;
 use fastgl_sample::{MinibatchPlan, SampleStats, SampledSubgraph};
 
 /// How the device feature cache is sized.
@@ -85,7 +93,7 @@ impl PipelinePolicy {
 
 /// One sampled mini-batch travelling through the window pipeline.
 struct SampledBatch {
-    /// Global batch index within the epoch (fault triggers key off it).
+    /// Index of the batch in the epoch's plan (fault triggers key off it).
     index: u64,
     sg: SampledSubgraph,
     stats: SampleStats,
@@ -97,6 +105,118 @@ struct PreparedBatch {
     batch: SampledBatch,
     load: Vec<NodeId>,
     reused: u64,
+}
+
+/// The prepare stage: reorders a sampled window through the plan, then
+/// builds each batch's Match load set against the resident set (the
+/// batch that ran last), which it carries from window to window.
+struct MatchStage {
+    use_match: bool,
+    resident: Vec<NodeId>,
+}
+
+impl MatchStage {
+    fn prepare(&mut self, windows: &WindowPlan, sampled: Vec<SampledBatch>) -> Vec<PreparedBatch> {
+        let order = windows.order(sampled.iter().map(|b| &b.sg));
+        let mut slots: Vec<Option<SampledBatch>> = sampled.into_iter().map(Some).collect();
+        order
+            .into_iter()
+            .map(|idx| {
+                let batch = slots[idx].take().expect("window index visited once");
+                let incoming = batch.sg.sorted_global_ids();
+                let (load, reused) = if self.use_match {
+                    let m = match_load_set(incoming, &self.resident);
+                    (m.load, m.reused)
+                } else {
+                    (incoming.to_vec(), 0)
+                };
+                self.resident = incoming.to_vec();
+                PreparedBatch {
+                    batch,
+                    load,
+                    reused,
+                }
+            })
+            .collect()
+    }
+}
+
+/// Everything the execute stage adds up over one epoch.
+#[derive(Default)]
+struct EpochTotals {
+    /// The epoch's statistics; the hit rates and GFLOP/s hold per-batch
+    /// sums until `Pipeline::finish` turns them into means.
+    stats: EpochStats,
+    /// One entry per window; `visible_sample` is set by `finish`.
+    windows: Vec<WindowPhases>,
+    res: ResilienceStats,
+}
+
+/// The execute stage: loads each prepared batch's missing feature rows
+/// and prices its computation, in the (re)ordered sequence, adding into
+/// the epoch's totals. It runs on the caller's thread in FIFO window
+/// order, so every sum (and its floating-point rounding) matches the
+/// serial loop at any prefetch depth.
+struct ExecuteStage<'a> {
+    cache: &'a FeatureCache,
+    io: IoEngine,
+    compute: &'a mut ComputeEngine,
+    injector: Option<&'a FaultInjector>,
+    retry_model: RetryCostModel,
+    dims: Vec<(usize, usize)>,
+    param_bytes: u64,
+    feature_dim: usize,
+    allreduce: SimTime,
+    totals: EpochTotals,
+}
+
+impl ExecuteStage<'_> {
+    fn execute(&mut self, prepared: Vec<PreparedBatch>) {
+        let t = &mut self.totals;
+        let mut phases = WindowPhases::default();
+        for p in prepared {
+            let b = &p.batch;
+            phases.sample += b.timing.total;
+            t.stats.id_map_time += b.timing.id_map;
+            t.stats.edges_sampled += b.stats.edges_sampled;
+
+            let (cache_hits, misses) = self.cache.partition(&p.load);
+            let fault = self.injector.and_then(|inj| inj.transfer_fault(b.index));
+            let ft = self.io.load_rows_faulted(
+                misses.len() as u64,
+                self.feature_dim as u64 * 4,
+                fault.as_ref(),
+                &self.retry_model,
+            );
+            phases.io += ft.time;
+            t.res.pcie_stalls += ft.stalled as u64;
+            t.res.transfer_retries += u64::from(ft.retries);
+            t.res.fault_overhead += ft.overhead;
+            t.stats.rows_loaded += misses.len() as u64;
+            t.stats.rows_reused += p.reused;
+            t.stats.rows_cached += cache_hits;
+
+            let workloads = census(&b.sg, &self.dims);
+            let comp = self.compute.batch_time(&b.sg, &workloads);
+            phases.compute += comp.time + self.allreduce;
+            t.stats.l1_hit_rate += comp.l1_hit_rate;
+            t.stats.l2_hit_rate += comp.l2_hit_rate;
+            t.stats.aggregation_gflops += comp.aggregation_gflops;
+
+            let est = estimate_batch_memory(
+                &workloads,
+                self.param_bytes,
+                b.sg.num_nodes(),
+                self.feature_dim,
+                b.sg.topology_bytes(),
+                b.stats.id_map.total_ids,
+                self.cache.bytes(),
+            );
+            t.stats.peak_memory_bytes = t.stats.peak_memory_bytes.max(est.total());
+            t.stats.iterations += 1;
+        }
+        t.windows.push(phases);
+    }
 }
 
 /// The generic sampling-based training pipeline.
@@ -293,6 +413,77 @@ impl Pipeline {
         .with_layers(self.config.num_layers())
         .with_hidden(self.config.hidden_dim)
     }
+
+    /// Turns the execute stage's totals into the epoch's statistics and
+    /// window trace, and records the epoch's wall and resilience figures.
+    fn finish(
+        &mut self,
+        mut totals: EpochTotals,
+        bytes_h2d: u64,
+        roles: GpuRoles,
+        wall: PipelineWallStats,
+        feature_dim: usize,
+    ) -> EpochStats {
+        self.last_wall = Some(wall);
+        // The only panics a pipeline run recovers from are injected ones,
+        // so recovered panics == sample-stage replays.
+        let res = &mut totals.res;
+        res.stage_replays = wall.sample.replays + wall.prepare.replays + wall.execute.replays;
+        res.worker_panics = wall.sample.replays;
+        res.emit_telemetry();
+        self.total_resilience += *res;
+
+        // GNNLab's factored design: `sampler_gpus` GPUs sample for all
+        // trainers; the latency is hidden behind training unless the
+        // sampling work outruns it (paper Fig. 14d). The per-window
+        // overlap model charges the fill plus any window where sampling
+        // outruns training; the breakdown is the sum of the windows, so
+        // it and the stage trace agree to the nanosecond.
+        let overlap_sample = self.policy.overlap_sample;
+        let sample: Vec<SimTime> = totals.windows.iter().map(|w| w.sample).collect();
+        let train: Vec<SimTime> = totals.windows.iter().map(|w| w.io + w.compute).collect();
+        let visible = if overlap_sample {
+            roles.visible_sample_per_window(&sample, &train)
+        } else {
+            sample
+        };
+        for (w, v) in totals.windows.iter_mut().zip(visible) {
+            w.visible_sample = v;
+        }
+        let trace = EpochWindowTrace {
+            windows: totals.windows,
+            overlap_sample,
+        };
+        let mut stats = totals.stats;
+        stats.breakdown = trace.visible_breakdown();
+        self.last_trace = Some(trace);
+        stats.bytes_h2d = bytes_h2d;
+        if stats.iterations > 0 {
+            let inv = 1.0 / stats.iterations as f64;
+            stats.l1_hit_rate *= inv;
+            stats.l2_hit_rate *= inv;
+            stats.aggregation_gflops *= inv;
+        }
+        stats.breakdown.emit_telemetry(self.name);
+        {
+            use fastgl_telemetry::names;
+            let row_bytes = feature_dim as u64 * 4;
+            fastgl_telemetry::counter_add(names::PIPELINE_ITERATIONS, stats.iterations);
+            fastgl_telemetry::counter_add(names::PIPELINE_ROWS_REUSED, stats.rows_reused);
+            fastgl_telemetry::counter_add(names::PIPELINE_ROWS_CACHED, stats.rows_cached);
+            // PCIe bytes the Match-Reorder reuse and the feature cache
+            // avoided, for the memory-hierarchy attribution report.
+            fastgl_telemetry::counter_add(
+                names::PIPELINE_BYTES_REUSE_SAVED,
+                stats.rows_reused * row_bytes,
+            );
+            fastgl_telemetry::counter_add(
+                names::PIPELINE_BYTES_CACHE_SAVED,
+                stats.rows_cached * row_bytes,
+            );
+        }
+        stats
+    }
 }
 
 impl TrainingSystem for Pipeline {
@@ -312,81 +503,62 @@ impl TrainingSystem for Pipeline {
         // per layer.
         self.compute.reset_trace_cache();
         let roles = self.roles();
-        let trainer_gpus = roles.trainers;
-        let shards = data.split.shard_train(trainer_gpus);
-        let shard = &shards[0];
+        let shards = data.split.shard_train(roles.trainers);
         let plan = MinibatchPlan::new(
-            shard,
+            &shards[0],
             self.config.batch_size as usize,
             self.config.seed ^ data.spec.dataset as u64,
             epoch,
         );
-        let mut cache = self.build_cache(data);
-        let mut res = ResilienceStats::default();
-        if let Some(inj) = &self.injector {
-            // Injected device-memory pressure: shed the coldest rows and
-            // keep going — the lost hits become PCIe loads, visible in
-            // `EpochStats::bytes_h2d` and the IO phase time.
-            if let Some(fraction) = inj.cache_pressure(epoch) {
-                let (shrunk, evicted) = cache.evict_fraction(fraction);
-                cache = shrunk;
-                res.evicted_rows = evicted;
-            }
-        }
-        let cache = cache;
-        let model_cfg = self.model_config(data);
-        let dims = model_cfg.layer_dims();
-        let param_bytes = model_cfg.param_bytes();
-        let row_bytes = data.spec.feature_dim as u64 * 4;
-        let feature_dim = data.spec.feature_dim;
-        // One independent RNG stream per mini-batch, derived from its
-        // global batch index: a batch's draws cannot depend on which
-        // pipeline stage, thread, or prefetch depth samples it.
-        let rng_base = DeterministicRng::seed(self.config.seed ^ 0x9A9A ^ data.spec.dataset as u64)
-            .derive(epoch);
-        let mut io = IoEngine::new(&self.config.system, trainer_gpus);
-        let allreduce = roles.allreduce_time(&self.config.system, param_bytes);
-
-        let mut stats = EpochStats::default();
-        let mut sample_total = SimTime::ZERO;
-        let mut io_total = SimTime::ZERO;
-        let mut compute_total = SimTime::ZERO;
-        let mut l1_sum = 0.0;
-        let mut l2_sum = 0.0;
-        let mut gflops_sum = 0.0;
-        let mut window_sample: Vec<SimTime> = Vec::new();
-        let mut window_io: Vec<SimTime> = Vec::new();
-        let mut window_compute: Vec<SimTime> = Vec::new();
-
         let window = if self.policy.use_reorder {
             self.config.reorder_window.max(2)
         } else {
             1
         };
-        let batches: Vec<&[NodeId]> = plan.iter().collect();
-        let num_windows = batches.len().div_ceil(window);
-        let mut executor = PipelineExecutor::new(self.config.resolved_prefetch());
+        let rng_base = DeterministicRng::seed(self.config.seed ^ 0x9A9A ^ data.spec.dataset as u64)
+            .derive(epoch);
+        let windows = WindowPlan::new(&plan, window, rng_base, self.policy.use_reorder);
+
+        let mut totals = EpochTotals::default();
+        let mut cache = self.build_cache(data);
         let injector = self.injector.as_ref();
-        let retry_model = injector.map(|i| *i.retry_model()).unwrap_or_default();
+        if let Some(fraction) = injector.and_then(|inj| inj.cache_pressure(epoch)) {
+            // Injected device-memory pressure: shed the coldest rows and
+            // keep going — the lost hits become PCIe loads, visible in
+            // `EpochStats::bytes_h2d` and the IO phase time.
+            let (shrunk, evicted) = cache.evict_fraction(fraction);
+            cache = shrunk;
+            totals.res.evicted_rows = evicted;
+        }
+        let mut executor = PipelineExecutor::new(self.config.resolved_prefetch());
         if injector.is_some() {
             // Budget for recovering injected worker panics by replaying
             // the in-flight window (each plan entry fires once per epoch).
             executor = executor.with_stage_retries(2);
         }
-
-        // Split the `self` borrow across the stages: the sample stage
-        // reads the sampler (possibly from a worker thread) while the
-        // execute stage mutates the compute engine on this thread.
-        let sampler = &self.sampler;
-        let compute = &mut self.compute;
-        let config = &self.config;
-        let policy = self.policy;
-        let graph = &data.graph;
-        let mut resident: Vec<NodeId> = Vec::new();
+        let model_cfg = self.model_config(data);
+        let (sampler, config, graph) = (&self.sampler, &self.config, &data.graph);
+        let mut prepare = MatchStage {
+            use_match: self.policy.use_match,
+            resident: Vec::new(),
+        };
+        let mut execute = ExecuteStage {
+            cache: &cache,
+            io: IoEngine::new(&config.system, roles.trainers),
+            compute: &mut self.compute,
+            injector,
+            retry_model: injector.map(|i| *i.retry_model()).unwrap_or_default(),
+            dims: model_cfg.layer_dims(),
+            param_bytes: model_cfg.param_bytes(),
+            feature_dim: data.spec.feature_dim,
+            allreduce: roles.allreduce_time(&config.system, model_cfg.param_bytes()),
+            totals,
+        };
 
         let wall = executor.run(
-            num_windows,
-            // Fused-Map Sampler stage: sample the window's mini-batches.
+            windows.covering(0..plan.len()),
+            // The Fused-Map sample stage, on a worker thread when
+            // pipelined: each batch draws from its own plan stream.
             |w| {
                 if injector.is_some_and(|inj| inj.take_worker_panic(epoch, w as u64)) {
                     // Simulated stage-worker crash; the executor replays
@@ -394,186 +566,22 @@ impl TrainingSystem for Pipeline {
                     // the replay through.
                     panic!("injected worker panic at window {w} of epoch {epoch}");
                 }
-                let chunk = &batches[w * window..((w + 1) * window).min(batches.len())];
-                let mut sampled = Vec::with_capacity(chunk.len());
-                for (i, seeds) in chunk.iter().enumerate() {
-                    let index = (w * window + i) as u64;
-                    let mut rng = rng_base.derive(index);
-                    let (sg, s_stats) = sampler.sample_batch(graph, seeds, &mut rng);
-                    let timing = sampler.sample_time(&s_stats, &config.system.cost);
-                    sampled.push(SampledBatch {
-                        index,
+                windows.sample(w, |index, seeds, rng| {
+                    let (sg, stats) = sampler.sample_batch(graph, seeds, rng);
+                    let timing = sampler.sample_time(&stats, &config.system.cost);
+                    SampledBatch {
+                        index: index as u64,
                         sg,
-                        stats: s_stats,
+                        stats,
                         timing,
-                    });
-                }
-                sampled
-            },
-            // Reorder stage (Algorithm 1) + Match sets vs the resident
-            // set, which this stage owns and carries window to window.
-            move |_, sampled: Vec<SampledBatch>| {
-                let order: Vec<usize> = {
-                    let sets: Vec<&[NodeId]> =
-                        sampled.iter().map(|b| b.sg.sorted_global_ids()).collect();
-                    if policy.use_reorder && sets.len() > 1 {
-                        greedy_reorder(&match_degree_matrix(&sets))
-                    } else {
-                        (0..sets.len()).collect()
                     }
-                };
-                let mut slots: Vec<Option<SampledBatch>> = sampled.into_iter().map(Some).collect();
-                let mut prepared = Vec::with_capacity(slots.len());
-                for idx in order {
-                    let batch = slots[idx].take().expect("window index visited once");
-                    let incoming = batch.sg.sorted_global_ids();
-                    let (load, reused) = if policy.use_match {
-                        let m = match_load_set(incoming, &resident);
-                        (m.load, m.reused)
-                    } else {
-                        (incoming.to_vec(), 0)
-                    };
-                    resident = incoming.to_vec();
-                    prepared.push(PreparedBatch {
-                        batch,
-                        load,
-                        reused,
-                    });
-                }
-                prepared
-            },
-            // Feature load + compute, in the (re)ordered sequence. All
-            // accumulation happens here in FIFO window order, so sums (and
-            // their floating-point rounding) match the serial loop
-            // exactly at any prefetch depth.
-            |_, prepared: Vec<PreparedBatch>| {
-                let mut win_sample = SimTime::ZERO;
-                let mut win_io = SimTime::ZERO;
-                let mut win_compute = SimTime::ZERO;
-                for p in prepared {
-                    win_sample += p.batch.timing.total;
-                    stats.id_map_time += p.batch.timing.id_map;
-                    stats.edges_sampled += p.batch.stats.edges_sampled;
-
-                    let (cache_hits, misses) = cache.partition(&p.load);
-                    let fault = injector.and_then(|inj| inj.transfer_fault(p.batch.index));
-                    let ft = io.load_rows_faulted(
-                        misses.len() as u64,
-                        row_bytes,
-                        fault.as_ref(),
-                        &retry_model,
-                    );
-                    let io_time = ft.time;
-                    res.pcie_stalls += ft.stalled as u64;
-                    res.transfer_retries += u64::from(ft.retries);
-                    res.fault_overhead += ft.overhead;
-                    io_total += io_time;
-                    stats.rows_loaded += misses.len() as u64;
-                    stats.rows_reused += p.reused;
-                    stats.rows_cached += cache_hits;
-
-                    let workloads = census(&p.batch.sg, &dims);
-                    let comp = compute.batch_time(&p.batch.sg, &workloads);
-                    compute_total += comp.time + allreduce;
-                    win_io += io_time;
-                    win_compute += comp.time + allreduce;
-                    l1_sum += comp.l1_hit_rate;
-                    l2_sum += comp.l2_hit_rate;
-                    gflops_sum += comp.aggregation_gflops;
-
-                    let est = estimate_batch_memory(
-                        &workloads,
-                        param_bytes,
-                        p.batch.sg.num_nodes(),
-                        feature_dim,
-                        p.batch.sg.topology_bytes(),
-                        p.batch.stats.id_map.total_ids,
-                        cache.bytes(),
-                    );
-                    stats.peak_memory_bytes = stats.peak_memory_bytes.max(est.total());
-                    stats.iterations += 1;
-                }
-                sample_total += win_sample;
-                window_sample.push(win_sample);
-                window_io.push(win_io);
-                window_compute.push(win_compute);
-            },
-        );
-        self.last_wall = Some(wall);
-        // The only panics a pipeline run recovers from are injected ones,
-        // so recovered panics == sample-stage replays.
-        res.stage_replays = wall.sample.replays + wall.prepare.replays + wall.execute.replays;
-        res.worker_panics = wall.sample.replays;
-        res.emit_telemetry();
-        self.total_resilience += res;
-
-        // GNNLab's factored design: `sampler_gpus` GPUs sample for all
-        // trainers; the latency is hidden behind training unless the
-        // sampling work outruns it (paper Fig. 14d). The per-window
-        // pipeline model in `gpusim::overlap` charges the fill plus any
-        // window where sampling outruns training. The per-window split
-        // sums to the aggregate exactly, so the breakdown and the stage
-        // trace below agree to the nanosecond.
-        let window_train: Vec<SimTime> = window_io
-            .iter()
-            .zip(&window_compute)
-            .map(|(&io_t, &c)| io_t + c)
-            .collect();
-        let visible_per_window = if self.policy.overlap_sample {
-            roles.visible_sample_per_window(&window_sample, &window_train)
-        } else {
-            window_sample.clone()
-        };
-        let visible_sample = if self.policy.overlap_sample {
-            roles.visible_sample_windows(&window_sample, &window_train)
-        } else {
-            sample_total
-        };
-        self.last_trace = Some(EpochWindowTrace {
-            windows: window_sample
-                .iter()
-                .zip(&visible_per_window)
-                .zip(window_io.iter().zip(&window_compute))
-                .map(|((&sample, &visible), (&io_t, &comp))| WindowPhases {
-                    sample,
-                    visible_sample: visible,
-                    io: io_t,
-                    compute: comp,
                 })
-                .collect(),
-            overlap_sample: self.policy.overlap_sample,
-        });
-
-        stats.breakdown = PhaseBreakdown {
-            sample: visible_sample,
-            io: io_total,
-            compute: compute_total,
-        };
-        stats.bytes_h2d = io.bytes_h2d();
-        if stats.iterations > 0 {
-            let inv = 1.0 / stats.iterations as f64;
-            stats.l1_hit_rate = l1_sum * inv;
-            stats.l2_hit_rate = l2_sum * inv;
-            stats.aggregation_gflops = gflops_sum * inv;
-        }
-        stats.breakdown.emit_telemetry(self.name);
-        {
-            use fastgl_telemetry::names;
-            fastgl_telemetry::counter_add(names::PIPELINE_ITERATIONS, stats.iterations);
-            fastgl_telemetry::counter_add(names::PIPELINE_ROWS_REUSED, stats.rows_reused);
-            fastgl_telemetry::counter_add(names::PIPELINE_ROWS_CACHED, stats.rows_cached);
-            // PCIe bytes the Match-Reorder reuse and the feature cache
-            // avoided, for the memory-hierarchy attribution report.
-            fastgl_telemetry::counter_add(
-                names::PIPELINE_BYTES_REUSE_SAVED,
-                stats.rows_reused * row_bytes,
-            );
-            fastgl_telemetry::counter_add(
-                names::PIPELINE_BYTES_CACHE_SAVED,
-                stats.rows_cached * row_bytes,
-            );
-        }
-        stats
+            },
+            |_, sampled| prepare.prepare(&windows, sampled),
+            |_, prepared| execute.execute(prepared),
+        );
+        let ExecuteStage { io, totals, .. } = execute;
+        self.finish(totals, io.bytes_h2d(), roles, wall, data.spec.feature_dim)
     }
 }
 

@@ -6,12 +6,16 @@
 //! order within each sampled window, which stochastic optimisation is
 //! robust to. This module trains real models (real gradients, real Adam)
 //! with and without reordering so the claim can be verified numerically.
+//!
+//! Training runs the same window loop as the simulator: each epoch's plan
+//! is cut into windows by a `WindowPlan`, and a [`PipelineExecutor`]
+//! samples, reorders and trains them — pipelined at the
+//! `FASTGL_PREFETCH` depth, with results bit-identical at any depth.
 
-use crate::match_reorder::greedy_reorder;
+use crate::executor::{PipelineExecutor, WindowPlan};
 use crate::resilience::{Checkpoint, CheckpointError, TrainerState};
 use fastgl_gnn::{GnnModel, ModelConfig, ModelKind};
 use fastgl_graph::{Csr, DeterministicRng, FeatureStore, NodeId};
-use fastgl_sample::overlap::match_degree_matrix;
 use fastgl_sample::{FusedIdMap, MinibatchPlan, NeighborSampler, SampledSubgraph};
 use fastgl_tensor::{Adam, Matrix};
 
@@ -137,14 +141,18 @@ pub enum TrainOutcome {
     Interrupted(Box<Checkpoint>),
 }
 
-/// The RNG stream of one training mini-batch: derived from the epoch and
-/// the batch's index *in plan order*, never from execution order, thread
-/// schedule, or resume position — the root of the trainer's
-/// determinism-under-replay guarantee.
-fn batch_rng(seed: u64, epoch: u64, batch_in_epoch: u64) -> DeterministicRng {
-    DeterministicRng::seed(seed ^ 0xABCD)
-        .derive(epoch)
-        .derive(batch_in_epoch)
+/// The trainer's window plan of `epoch`. Each mini-batch's RNG stream
+/// derives from the seed, the epoch and the batch's index *in plan
+/// order* — never from execution order, thread schedule, or resume
+/// position — the root of the trainer's determinism-under-replay
+/// guarantee.
+fn epoch_windows<'p>(
+    plan: &'p MinibatchPlan,
+    config: &TrainerConfig,
+    epoch: u64,
+) -> WindowPlan<'p> {
+    let base = DeterministicRng::seed(config.seed ^ 0xABCD).derive(epoch);
+    WindowPlan::new(plan, config.window.max(1), base, config.reorder)
 }
 
 /// [`train_with_validation`], but killable and resumable at mini-batch
@@ -153,12 +161,17 @@ fn batch_rng(seed: u64, epoch: u64, batch_in_epoch: u64) -> DeterministicRng {
 /// `halt_after` simulates a kill: training stops before executing global
 /// batch `halt_after` (counting from 0 across all epochs) and returns
 /// [`TrainOutcome::Interrupted`] with a [`Checkpoint`] holding the model
-/// weights, Adam moments, loss trajectories, and the batch cursor. Passing
-/// that checkpoint back via `resume` continues the run and produces final
-/// weights, losses, and accuracies **bit-identical** to an uninterrupted
-/// run: every mini-batch's RNG stream is derived from its plan position
-/// (`batch_rng` internally), so the resumed run re-samples its window and
-/// replays the exact draws and floating-point accumulation order.
+/// weights, Adam moments, loss trajectories, and the batch cursor. Nothing
+/// past the halt is sampled. Passing that checkpoint back via `resume`
+/// continues the run and produces final weights, losses, and accuracies
+/// **bit-identical** to an uninterrupted run: every mini-batch's RNG
+/// stream is derived from its plan position, so the resumed run re-samples
+/// its window and replays the exact draws and floating-point accumulation
+/// order.
+///
+/// Each epoch is one [`PipelineExecutor::run`] over the windows from the
+/// cursor to the halt or the epoch's end, at the `FASTGL_PREFETCH` depth
+/// (0, serial, when unset); the depth never changes a result.
 ///
 /// # Errors
 ///
@@ -197,11 +210,9 @@ pub fn train_resumable(
     let sampler = NeighborSampler::new(config.fanouts.clone());
     let id_map = FusedIdMap::new();
 
-    let win = config.window.max(1);
     // Every epoch shuffles the same node set into the same batch count.
-    let batches_per_epoch = MinibatchPlan::new(train_nodes, config.batch_size, config.seed, 0)
-        .iter()
-        .count() as u64;
+    let batches_per_epoch =
+        MinibatchPlan::new(train_nodes, config.batch_size, config.seed, 0).len() as u64;
     let total = config.epochs as u64 * batches_per_epoch;
 
     let mut iteration_losses = Vec::new();
@@ -255,84 +266,74 @@ pub fn train_resumable(
         let idx: Vec<usize> = sg.nodes.iter().map(|n| n.index()).collect();
         Matrix::gather_flat(feats, dim, labels.len(), &idx)
     };
+    let seed_labels = |sg: &SampledSubgraph| -> Vec<u32> {
+        sg.seed_locals
+            .iter()
+            .map(|&l| labels[sg.nodes[l as usize].index()])
+            .collect()
+    };
+    let executor = PipelineExecutor::new(crate::config::env_prefetch());
 
     while next < total {
         let epoch = next / batches_per_epoch;
+        let epoch_start = epoch * batches_per_epoch;
+        let epoch_end = epoch_start + batches_per_epoch;
+        // Train up to the halt or the epoch's end, whichever is first; a
+        // halt at the cursor stops before anything is sampled.
+        let stop = halt_after.map_or(epoch_end, |h| h.clamp(next, epoch_end));
+        if stop == next {
+            break;
+        }
         let _epoch_span = fastgl_telemetry::span("trainer.epoch").with_u64("epoch", epoch);
         let plan = MinibatchPlan::new(train_nodes, config.batch_size, config.seed, epoch);
-        let batches: Vec<&[NodeId]> = plan.iter().collect();
-
-        while next < total && next / batches_per_epoch == epoch {
-            let r = (next % batches_per_epoch) as usize;
-            let start = (r / win) * win;
-            let chunk = &batches[start..(start + win).min(batches.len())];
+        let windows = epoch_windows(&plan, config, epoch);
+        let batches = (next - epoch_start) as usize..(stop - epoch_start) as usize;
+        executor.run(
+            windows.covering(batches),
             // Sample the whole window even when resuming into its middle:
-            // the reorder below needs every member, and each batch's
-            // stream re-derives from its plan position, so the re-sampled
-            // window is identical to the first time around.
-            let subgraphs: Vec<SampledSubgraph> = chunk
-                .iter()
-                .enumerate()
-                .map(|(i, seeds)| {
-                    let mut rng = batch_rng(config.seed, epoch, (start + i) as u64);
-                    sampler.sample(graph, seeds, &id_map, &mut rng).0
+            // the reorder needs every member, and each batch's stream
+            // re-derives from its plan position, so the re-sampled window
+            // is identical to the first time around.
+            |w| {
+                windows.sample(w, |_, seeds, rng| {
+                    sampler.sample(graph, seeds, &id_map, rng).0
                 })
-                .collect();
-            let order: Vec<usize> = if config.reorder && subgraphs.len() > 1 {
-                let sets: Vec<&[NodeId]> =
-                    subgraphs.iter().map(|s| s.sorted_global_ids()).collect();
-                greedy_reorder(&match_degree_matrix(&sets))
-            } else {
-                (0..subgraphs.len()).collect()
-            };
-
-            // Skip the window entries an interrupted run already executed.
-            for &idx in order.iter().skip(r - start) {
-                if halt_after.is_some_and(|h| next >= h) {
-                    return Ok(TrainOutcome::Interrupted(Box::new(Checkpoint {
-                        trainer: Some(TrainerState {
-                            seed: config.seed,
-                            next_batch: next,
-                            model: model.state(),
-                            optimizer: opt.state(),
-                            iteration_losses,
-                            epoch_losses,
-                            val_accuracy,
-                            epoch_loss_sum,
-                            epoch_batches,
-                        }),
-                        simulation: None,
-                    })));
+            },
+            |_, subgraphs: Vec<SampledSubgraph>| (windows.order(&subgraphs), subgraphs),
+            |w, (order, subgraphs): (Vec<usize>, Vec<SampledSubgraph>)| {
+                // Skip the window entries an interrupted run already
+                // executed; stop at the halt.
+                let done = next - epoch_start - windows.batches(w).start as u64;
+                let todo = stop - next;
+                for &idx in order.iter().skip(done as usize).take(todo as usize) {
+                    let sg = &subgraphs[idx];
+                    let _iter_span = fastgl_telemetry::span("trainer.iteration")
+                        .with_u64("nodes", sg.num_nodes());
+                    fastgl_telemetry::observe("trainer.batch_nodes", sg.num_nodes());
+                    let x = gather(sg);
+                    let batch_labels = seed_labels(sg);
+                    opt.next_iteration();
+                    let logits = {
+                        let _fwd = fastgl_telemetry::span("trainer.forward");
+                        model.forward(sg, &x)
+                    };
+                    let out = fastgl_tensor::loss::softmax_cross_entropy(&logits, &batch_labels);
+                    {
+                        let _bwd = fastgl_telemetry::span("trainer.backward");
+                        model.backward(sg, &out.grad);
+                        model.apply_grads(&mut opt);
+                    }
+                    iteration_losses.push(out.loss);
+                    epoch_loss_sum += out.loss;
+                    epoch_batches += 1;
+                    next += 1;
                 }
-                let sg = &subgraphs[idx];
-                let _iter_span =
-                    fastgl_telemetry::span("trainer.iteration").with_u64("nodes", sg.num_nodes());
-                fastgl_telemetry::observe("trainer.batch_nodes", sg.num_nodes());
-                let x = gather(sg);
-                let batch_labels: Vec<u32> = sg
-                    .seed_locals
-                    .iter()
-                    .map(|&l| labels[sg.nodes[l as usize].index()])
-                    .collect();
-                opt.next_iteration();
-                let logits = {
-                    let _fwd = fastgl_telemetry::span("trainer.forward");
-                    model.forward(sg, &x)
-                };
-                let out = fastgl_tensor::loss::softmax_cross_entropy(&logits, &batch_labels);
-                {
-                    let _bwd = fastgl_telemetry::span("trainer.backward");
-                    model.backward(sg, &out.grad);
-                    model.apply_grads(&mut opt);
-                }
-                iteration_losses.push(out.loss);
-                epoch_loss_sum += out.loss;
-                epoch_batches += 1;
-                next += 1;
-            }
+            },
+        );
+        if next < epoch_end {
+            break; // halted inside the epoch
         }
 
-        // The inner loop only exits at an epoch boundary (halts return).
         epoch_losses.push(epoch_loss_sum / epoch_batches.max(1) as f32);
         epoch_loss_sum = 0.0;
         epoch_batches = 0;
@@ -343,18 +344,30 @@ pub fn train_resumable(
             let mut total_eval = 0usize;
             for seeds in val_nodes.chunks(config.batch_size) {
                 let (sg, _) = sampler.sample(graph, seeds, &id_map, &mut val_rng);
-                let x = gather(&sg);
-                let batch_labels: Vec<u32> = sg
-                    .seed_locals
-                    .iter()
-                    .map(|&l| labels[sg.nodes[l as usize].index()])
-                    .collect();
-                let (_, acc) = model.evaluate(&sg, &x, &batch_labels);
+                let batch_labels = seed_labels(&sg);
+                let (_, acc) = model.evaluate(&sg, &gather(&sg), &batch_labels);
                 correct += acc * batch_labels.len() as f64;
                 total_eval += batch_labels.len();
             }
             val_accuracy.push(correct / total_eval.max(1) as f64);
         }
+    }
+
+    if next < total {
+        return Ok(TrainOutcome::Interrupted(Box::new(Checkpoint {
+            trainer: Some(TrainerState {
+                seed: config.seed,
+                next_batch: next,
+                model: model.state(),
+                optimizer: opt.state(),
+                iteration_losses,
+                epoch_losses,
+                val_accuracy,
+                epoch_loss_sum,
+                epoch_batches,
+            }),
+            simulation: None,
+        })));
     }
 
     // Final training accuracy: evaluate the trained model on a re-sample
@@ -369,16 +382,9 @@ pub fn train_resumable(
             (last % batches_per_epoch) as usize,
         );
         let plan = MinibatchPlan::new(train_nodes, config.batch_size, config.seed, epoch);
-        let seeds = plan.iter().nth(r).expect("plan covers its own batch count");
-        let mut rng = batch_rng(config.seed, epoch, r as u64);
-        let (sg, _) = sampler.sample(graph, seeds, &id_map, &mut rng);
-        let x = gather(&sg);
-        let batch_labels: Vec<u32> = sg
-            .seed_locals
-            .iter()
-            .map(|&l| labels[sg.nodes[l as usize].index()])
-            .collect();
-        model.evaluate(&sg, &x, &batch_labels).1
+        let mut rng = epoch_windows(&plan, config, epoch).rng(r);
+        let (sg, _) = sampler.sample(graph, plan.batch(r), &id_map, &mut rng);
+        model.evaluate(&sg, &gather(&sg), &seed_labels(&sg)).1
     };
 
     Ok(TrainOutcome::Complete(ConvergenceRun {

@@ -117,67 +117,184 @@ fn trainer_config() -> TrainerConfig {
     }
 }
 
+/// Runs `f` with `FASTGL_PREFETCH` set to `depth` — the trainer's only
+/// depth setting — and restores the previous value afterwards. Callers
+/// hold the lock.
+fn with_prefetch_env<T>(depth: usize, f: impl FnOnce() -> T) -> T {
+    let saved = std::env::var_os("FASTGL_PREFETCH");
+    std::env::set_var("FASTGL_PREFETCH", depth.to_string());
+    let out = f();
+    match saved {
+        Some(v) => std::env::set_var("FASTGL_PREFETCH", v),
+        None => std::env::remove_var("FASTGL_PREFETCH"),
+    }
+    out
+}
+
 #[test]
 fn trainer_kill_resume_bit_identical_across_threads() {
     let _guard = lock();
     let (d, train_nodes, val_nodes) = trainer_fixture();
     let cfg = trainer_config();
     let mut reference = None;
-    // The numeric trainer is not window-pipelined, so the prefetch axis of
-    // the contract is vacuous here; the thread axis is the live one (the
-    // dense kernels and feature gathers run on the parallel backend).
-    for threads in [1usize, 8] {
+    for (prefetch, threads) in MATRIX {
         fastgl_tensor::parallel::set_num_threads(threads);
-        let full = train_with_validation(
-            &d.graph,
-            &d.features,
-            &d.labels,
-            &train_nodes,
-            &val_nodes,
-            &cfg,
-        );
-        // Kill mid-window, round-trip the checkpoint through disk, resume.
-        for halt in [4u64, 7] {
-            let TrainOutcome::Interrupted(ckpt) = train_resumable(
+        with_prefetch_env(prefetch, || {
+            let full = train_with_validation(
                 &d.graph,
                 &d.features,
                 &d.labels,
                 &train_nodes,
                 &val_nodes,
                 &cfg,
-                None,
-                Some(halt),
-            )
-            .unwrap() else {
-                panic!("expected an interruption at batch {halt}")
-            };
-            let path = tmp_path(&format!("trainer-{threads}-{halt}"));
-            ckpt.save(&path).unwrap();
-            let loaded = Checkpoint::load(&path).unwrap();
-            std::fs::remove_file(&path).ok();
-            let resumed = train_resumable(
-                &d.graph,
-                &d.features,
-                &d.labels,
-                &train_nodes,
-                &val_nodes,
-                &cfg,
-                Some(&loaded),
-                None,
-            )
-            .unwrap();
-            assert_eq!(
-                resumed,
-                TrainOutcome::Complete(full.clone()),
-                "resume diverged at {threads} threads, kill at batch {halt}"
             );
-        }
-        match &reference {
-            None => reference = Some(full),
-            Some(r) => assert_eq!(full, *r, "trainer diverged at {threads} threads"),
-        }
+            // Kill mid-window, round-trip the checkpoint through disk, resume.
+            for halt in [4u64, 7] {
+                let TrainOutcome::Interrupted(ckpt) = train_resumable(
+                    &d.graph,
+                    &d.features,
+                    &d.labels,
+                    &train_nodes,
+                    &val_nodes,
+                    &cfg,
+                    None,
+                    Some(halt),
+                )
+                .unwrap() else {
+                    panic!("expected an interruption at batch {halt}")
+                };
+                let path = tmp_path(&format!("trainer-{prefetch}-{threads}-{halt}"));
+                ckpt.save(&path).unwrap();
+                let loaded = Checkpoint::load(&path).unwrap();
+                std::fs::remove_file(&path).ok();
+                let resumed = train_resumable(
+                    &d.graph,
+                    &d.features,
+                    &d.labels,
+                    &train_nodes,
+                    &val_nodes,
+                    &cfg,
+                    Some(&loaded),
+                    None,
+                )
+                .unwrap();
+                assert_eq!(
+                    resumed,
+                    TrainOutcome::Complete(full.clone()),
+                    "resume diverged at prefetch {prefetch}, {threads} threads, \
+                     kill at batch {halt}"
+                );
+            }
+            match &reference {
+                None => reference = Some(full),
+                Some(r) => assert_eq!(
+                    full, *r,
+                    "trainer diverged at prefetch {prefetch}, {threads} threads"
+                ),
+            }
+        });
     }
     fastgl_tensor::parallel::set_num_threads(0);
+}
+
+/// The trainer fixture cut into 5 batches per epoch, so windows of 3
+/// leave a ragged last window.
+fn ragged_trainer_config() -> TrainerConfig {
+    TrainerConfig {
+        batch_size: 110,
+        ..trainer_config()
+    }
+}
+
+#[test]
+fn trainer_halts_at_every_batch_and_resumes_bit_identically() {
+    let _guard = lock();
+    let (d, train_nodes, val_nodes) = trainer_fixture();
+    let cfg = ragged_trainer_config();
+    let total = 3 * 5;
+    for prefetch in [0usize, 2] {
+        with_prefetch_env(prefetch, || {
+            let full = train_with_validation(
+                &d.graph,
+                &d.features,
+                &d.labels,
+                &train_nodes,
+                &val_nodes,
+                &cfg,
+            );
+            assert_eq!(full.iteration_losses.len(), total);
+            for halt in 0..=total as u64 {
+                let run = |resume: Option<&Checkpoint>, halt_after: Option<u64>| {
+                    train_resumable(
+                        &d.graph,
+                        &d.features,
+                        &d.labels,
+                        &train_nodes,
+                        &val_nodes,
+                        &cfg,
+                        resume,
+                        halt_after,
+                    )
+                    .unwrap()
+                };
+                let ckpt = match run(None, Some(halt)) {
+                    TrainOutcome::Interrupted(ckpt) => ckpt,
+                    // Halting at the very end is no halt at all.
+                    TrainOutcome::Complete(run) => {
+                        assert_eq!(halt, total as u64, "prefetch {prefetch}");
+                        assert_eq!(run, full, "prefetch {prefetch}");
+                        continue;
+                    }
+                };
+                assert_eq!(ckpt.trainer.as_ref().unwrap().next_batch, halt);
+                assert_eq!(
+                    run(Some(&ckpt), None),
+                    TrainOutcome::Complete(full.clone()),
+                    "resume diverged at prefetch {prefetch}, halt at batch {halt}"
+                );
+            }
+        });
+    }
+}
+
+#[test]
+fn trainer_halted_at_an_epoch_boundary_samples_nothing_past_it() {
+    let _guard = lock();
+    let (d, train_nodes, val_nodes) = trainer_fixture();
+    let cfg = ragged_trainer_config();
+    // 5 batches per epoch in windows of 3: 2 windows per epoch.
+    for prefetch in [0usize, 2] {
+        with_prefetch_env(prefetch, || {
+            for epochs in 1..cfg.epochs as u64 {
+                fastgl_telemetry::set_enabled(true);
+                fastgl_telemetry::reset();
+                let outcome = train_resumable(
+                    &d.graph,
+                    &d.features,
+                    &d.labels,
+                    &train_nodes,
+                    &val_nodes,
+                    &cfg,
+                    None,
+                    Some(epochs * 5),
+                )
+                .unwrap();
+                let snap = fastgl_telemetry::drain();
+                fastgl_telemetry::set_enabled(false);
+                assert!(matches!(outcome, TrainOutcome::Interrupted(_)));
+                let windows = snap
+                    .counters
+                    .get(names::PIPELINE_WINDOWS)
+                    .copied()
+                    .unwrap_or(0);
+                assert_eq!(
+                    windows,
+                    epochs * 2,
+                    "prefetch {prefetch}: halt after {epochs} epochs ran {windows} windows"
+                );
+            }
+        });
+    }
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! Several designs in the paper's landscape hide one stage behind another:
 //! DGL/PyG prefetch features during compute, GNNLab runs sampling on a
 //! dedicated GPU, FastGL prefetches the next subgraph's topology (§6.5).
-//! This module provides the standard pipeline bounds those designs obey so
-//! experiments can quantify the headroom overlap leaves on the table.
+//! This module provides the depth-1 prefetch bound those designs obey and
+//! the producer time it leaves visible.
 
 use crate::timeline::SimTime;
 
@@ -33,30 +33,16 @@ pub fn two_stage_pipeline(stage1: &[SimTime], stage2: &[SimTime]) -> SimTime {
     total + stage2[stage2.len() - 1]
 }
 
-/// Total time of the same items with no overlap (straight sum).
-pub fn sequential(stage1: &[SimTime], stage2: &[SimTime]) -> SimTime {
-    stage1.iter().copied().sum::<SimTime>() + stage2.iter().copied().sum::<SimTime>()
-}
-
-/// The fraction of the sequential time that pipelining saves, in `[0, 1)`.
-pub fn overlap_saving(stage1: &[SimTime], stage2: &[SimTime]) -> f64 {
-    let seq = sequential(stage1, stage2).as_nanos() as f64;
-    if seq == 0.0 {
-        return 0.0;
-    }
-    let piped = two_stage_pipeline(stage1, stage2).as_nanos() as f64;
-    1.0 - piped / seq
-}
-
 /// Visible (unhidden) time of a producer stage whose item `i + 1` is
 /// produced while item `i` is consumed — the prefetch-depth-1 pipeline of
 /// the classic bound above. Returns the pipelined makespan minus the
 /// consumer's own work: the fill (`producer[0]`) plus every gap where
 /// production outruns consumption.
 ///
-/// This is the single overlap model shared by GNNLab's dedicated sampler
-/// GPUs (sampling hidden behind training) and FastGL's pipelined window
-/// prefetch (Fig. 5): both charge only what the consumer cannot hide.
+/// This is the overlap model of GNNLab's dedicated sampler GPUs
+/// (sampling hidden behind training): only what the consumer cannot hide
+/// is charged. The simulator charges it window by window, and the
+/// per-window split sums to this aggregate exactly.
 ///
 /// # Panics
 ///
@@ -64,32 +50,6 @@ pub fn overlap_saving(stage1: &[SimTime], stage2: &[SimTime]) -> f64 {
 pub fn hidden_stage_visible(producer: &[SimTime], consumer: &[SimTime]) -> SimTime {
     let consumed: SimTime = consumer.iter().copied().sum();
     two_stage_pipeline(producer, consumer).saturating_sub(consumed)
-}
-
-/// Steady-state fully-overlapped bound: with unbounded buffering only the
-/// producer's excess over the consumer is ever visible. Lower bound of
-/// [`hidden_stage_visible`] for the same totals.
-pub fn steady_state_visible(producer_total: SimTime, consumer_total: SimTime) -> SimTime {
-    producer_total.saturating_sub(consumer_total)
-}
-
-/// Steady-state throughput bound of a multi-stage pipeline: the epoch is
-/// limited by its slowest stage, `t ≈ Σ_i max_s stage_s[i]` plus the
-/// fill/drain of the other stages (ignored here; exact for long runs).
-pub fn bottleneck_bound(stages: &[Vec<SimTime>]) -> SimTime {
-    if stages.is_empty() || stages[0].is_empty() {
-        return SimTime::ZERO;
-    }
-    let items = stages[0].len();
-    let mut total = SimTime::ZERO;
-    for i in 0..items {
-        let slowest = stages
-            .iter()
-            .map(|s| s.get(i).copied().unwrap_or(SimTime::ZERO))
-            .fold(SimTime::ZERO, SimTime::max);
-        total += slowest;
-    }
-    total
 }
 
 #[cfg(test)]
@@ -104,11 +64,8 @@ mod tests {
     fn balanced_pipeline_halves_time_asymptotically() {
         let s1 = vec![t(100); 50];
         let s2 = vec![t(100); 50];
-        let seq = sequential(&s1, &s2);
         let piped = two_stage_pipeline(&s1, &s2);
-        assert_eq!(seq.as_nanos(), 10_000);
         assert_eq!(piped.as_nanos(), 100 + 49 * 100 + 100);
-        assert!(overlap_saving(&s1, &s2) > 0.45);
     }
 
     #[test]
@@ -118,38 +75,30 @@ mod tests {
         let piped = two_stage_pipeline(&s1, &s2);
         // 10 (fill) + 19 * 1000 + 1000 (drain).
         assert_eq!(piped.as_nanos(), 10 + 19_000 + 1_000);
+        // Only the fill of the hidden producer stays visible.
+        assert_eq!(hidden_stage_visible(&s1, &s2), t(10));
     }
 
     #[test]
     fn single_item_has_no_overlap() {
         let piped = two_stage_pipeline(&[t(50)], &[t(70)]);
         assert_eq!(piped.as_nanos(), 120);
-        assert_eq!(overlap_saving(&[t(50)], &[t(70)]), 0.0);
     }
 
     #[test]
     fn empty_sequences() {
         assert_eq!(two_stage_pipeline(&[], &[]), SimTime::ZERO);
-        assert_eq!(sequential(&[], &[]), SimTime::ZERO);
-        assert_eq!(overlap_saving(&[], &[]), 0.0);
-        assert_eq!(bottleneck_bound(&[]), SimTime::ZERO);
+        assert_eq!(hidden_stage_visible(&[], &[]), SimTime::ZERO);
     }
 
     #[test]
-    fn pipeline_never_beats_bottleneck_bound_or_loses_to_sequential() {
+    fn pipeline_never_beats_its_slower_stage_or_loses_to_sequential() {
         let s1: Vec<SimTime> = (0..30).map(|i| t(50 + i * 7)).collect();
         let s2: Vec<SimTime> = (0..30).map(|i| t(200 - i * 3)).collect();
         let piped = two_stage_pipeline(&s1, &s2);
-        let seq = sequential(&s1, &s2);
-        let bound = bottleneck_bound(&[s1.clone(), s2.clone()]);
-        assert!(piped <= seq);
-        assert!(piped >= bound);
-    }
-
-    #[test]
-    fn bottleneck_bound_takes_per_item_max() {
-        let stages = vec![vec![t(10), t(300)], vec![t(200), t(20)]];
-        assert_eq!(bottleneck_bound(&stages).as_nanos(), 200 + 300);
+        let (sum1, sum2): (SimTime, SimTime) = (s1.iter().copied().sum(), s2.iter().copied().sum());
+        assert!(piped <= sum1 + sum2);
+        assert!(piped >= sum1.max(sum2));
     }
 
     #[test]
