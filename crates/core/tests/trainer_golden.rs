@@ -3,10 +3,11 @@
 //! Pins, bit for bit, every per-iteration loss, every per-epoch loss and
 //! validation accuracy, the final training accuracy, and a checksum of
 //! the model weights checkpointed by a run halted mid-window. Covers GCN
-//! and GAT with and without Reorder, on a plan whose window (3) does not
-//! divide the batches per epoch (7), so the last window of every epoch is
-//! ragged. Any change to the trainer's window loop, RNG streams, reorder
-//! rule or accumulation order shows up here.
+//! and GAT with and without Reorder, and SAGE and GIN in plan order, on a
+//! plan whose window (3) does not divide the batches per epoch (7), so the
+//! last window of every epoch is ragged. Any change to the trainer's window
+//! loop, RNG streams, reorder rule, accumulation order or layer arithmetic
+//! shows up here.
 
 use fastgl_core::trainer::{train_resumable, train_with_validation, TrainOutcome, TrainerConfig};
 use fastgl_gnn::ModelKind;
@@ -177,6 +178,42 @@ fn gat_reordered() {
             val_accuracy: [0x3fedddddddddddde, 0x3fee666666666666],
             final_accuracy: 0x3fedddddddddddde,
             halted_model: 0xd74002300aa9163d,
+        },
+    );
+}
+
+#[test]
+fn sage_default_order() {
+    check(
+        ModelKind::Sage,
+        false,
+        Golden {
+            iteration_losses: [
+                0x3f9a714a, 0x3f89d11e, 0x3f2b4f6d, 0x3f097bc7, 0x3ef35d6b, 0x3e97be5a, 0x3e59aec3,
+                0x3e445269, 0x3e47a2eb, 0x3dd9731b, 0x3d82eb71, 0x3da7f0b9, 0x3d378ede, 0x3d508284,
+            ],
+            epoch_losses: [0x3f239ccd, 0x3dd6e4f2],
+            val_accuracy: [0x3fef777777777777, 0x3ff0000000000000],
+            final_accuracy: 0x3ff0000000000000,
+            halted_model: 0x76c88ed8bf475ccb,
+        },
+    );
+}
+
+#[test]
+fn gin_default_order() {
+    check(
+        ModelKind::Gin,
+        false,
+        Golden {
+            iteration_losses: [
+                0x40bf5a19, 0x408fc4eb, 0x3fd94977, 0x3fa3f37a, 0x3f455db6, 0x3f191066, 0x3f1d292f,
+                0x3e820f67, 0x3e9c280e, 0x3dfc2566, 0x3dbd8624, 0x3cbc7755, 0x3cdd2c2d, 0x3c6dfcfd,
+            ],
+            epoch_losses: [0x400d1bc2, 0x3df58720],
+            val_accuracy: [0x3fe9111111111111, 0x3ff0000000000000],
+            final_accuracy: 0x3ff0000000000000,
+            halted_model: 0x0607_c249_4b42_9bb9,
         },
     );
 }
