@@ -20,7 +20,7 @@ use crate::system::EpochStats;
 use fastgl_gpusim::{PhaseBreakdown, SimTime};
 use fastgl_tensor::{AdamSlotState, AdamState};
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Magic bytes of the checkpoint format.
 const MAGIC: &[u8; 8] = b"FGLCKPT1";
@@ -139,17 +139,35 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Writes the checkpoint to `path` (atomically enough for a crash
-    /// drill: the file is complete when `save` returns).
+    /// Writes the checkpoint to `path` without ever exposing a partial
+    /// file there. The bytes go to the sibling temporary file `<path>.tmp`,
+    /// which is flushed and fsynced and then renamed over `path`. A crash
+    /// or an error at any point therefore leaves the previous checkpoint at
+    /// `path` intact and loadable; on error the temporary file is removed.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Io`] on filesystem failure.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
+        let path = path.as_ref();
+        let tmp = temp_path(path);
+        let saved = self
+            .write_synced(&tmp)
+            .and_then(|()| Ok(std::fs::rename(&tmp, path)?));
+        if saved.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        saved?;
+        fastgl_telemetry::counter_add(fastgl_telemetry::names::CHECKPOINT_SAVES, 1);
+        Ok(())
+    }
+
+    /// Writes the checkpoint to a fresh file at `path` and fsyncs it.
+    fn write_synced(&self, path: &Path) -> Result<(), CheckpointError> {
         let mut w = BufWriter::new(std::fs::File::create(path)?);
         self.write_to(&mut w)?;
         w.flush()?;
-        fastgl_telemetry::counter_add(fastgl_telemetry::names::CHECKPOINT_SAVES, 1);
+        w.get_ref().sync_all()?;
         Ok(())
     }
 
@@ -224,6 +242,15 @@ impl Checkpoint {
             simulation,
         })
     }
+}
+
+/// The temporary file [`Checkpoint::save`] writes before renaming it over
+/// `path`: the same path with `.tmp` appended, so it sits in the same
+/// directory (a rename across file systems would not be atomic).
+fn temp_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    PathBuf::from(tmp)
 }
 
 fn write_trainer<W: Write>(w: &mut W, t: &TrainerState) -> Result<(), CheckpointError> {
@@ -484,6 +511,39 @@ mod tests {
         let ckpt = sample_checkpoint();
         ckpt.save(&path).unwrap();
         assert_eq!(Checkpoint::load(&path).unwrap(), ckpt);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn save_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join("fastgl_ckpt_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("no_temp.ckpt");
+        sample_checkpoint().save(&path).unwrap();
+        assert!(path.is_file());
+        assert!(!temp_path(&path).exists());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_save_keeps_the_previous_checkpoint() {
+        let dir = std::env::temp_dir().join("fastgl_ckpt_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("failed_save.ckpt");
+        let good = sample_checkpoint();
+        good.save(&path).unwrap();
+        // A directory where the temporary file goes makes the next save
+        // fail before it reaches the rename.
+        let tmp = temp_path(&path);
+        std::fs::create_dir_all(&tmp).unwrap();
+        let newer = Checkpoint {
+            trainer: None,
+            ..sample_checkpoint()
+        };
+        let err = newer.save(&path).unwrap_err();
+        assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+        assert_eq!(Checkpoint::load(&path).unwrap(), good);
+        std::fs::remove_dir(&tmp).unwrap();
         std::fs::remove_file(&path).ok();
     }
 

@@ -4,10 +4,10 @@
 //! `α_uv = softmax_v(e_uv)`, `H'_u = Σ_v α_uv · W x_v`, heads concatenated.
 //! The paper's GAT uses 8 heads of dimension 8 (§6.1).
 
-use super::GnnLayer;
+use super::{activate, activate_backward, GnnLayer};
 use fastgl_sample::Block;
 use fastgl_tensor::init::xavier_uniform;
-use fastgl_tensor::ops::{relu, relu_backward, softmax_slice};
+use fastgl_tensor::ops::softmax_slice;
 use fastgl_tensor::{Matrix, Optimizer};
 use rand::RngCore;
 
@@ -132,86 +132,92 @@ impl GnnLayer for GatLayer {
         self.z = Some(z);
         self.alphas = alphas;
         self.e_pre = e_pre;
-        self.out_pre = Some(out.clone());
-        if self.activation {
-            relu(&out)
-        } else {
-            out
-        }
+        activate(out, self.activation, &mut self.out_pre)
     }
 
-    fn backward(&mut self, block: &Block, grad_out: &Matrix) -> Matrix {
-        let input = self.input.as_ref().expect("forward before backward");
-        let z = self.z.as_ref().expect("forward before backward");
-        let out_pre = self.out_pre.as_ref().expect("forward before backward");
-        let f = self.head_dim;
-        let g = if self.activation {
-            relu_backward(out_pre, grad_out)
-        } else {
-            grad_out.clone()
-        };
+    fn backward(&mut self, block: &Block, grad_out: &Matrix, input_grad: bool) -> Option<Matrix> {
+        // Split the borrows so the per-edge loops read the caches and the
+        // attention vectors in place while writing the gradients.
+        let Self {
+            weight,
+            attn_l,
+            attn_r,
+            heads,
+            head_dim: f,
+            activation,
+            input,
+            z,
+            alphas,
+            e_pre,
+            out_pre,
+            grad_weight,
+            grad_attn_l,
+            grad_attn_r,
+        } = self;
+        let (heads, f) = (*heads, *f);
+        let input = input.as_ref().expect("forward before backward");
+        let z = z.as_ref().expect("forward before backward");
+        let g = activate_backward(*activation, out_pre, grad_out);
 
         let mut d_z = Matrix::zeros(z.rows(), z.cols());
+        let mut d_alpha = Vec::new();
         for i in 0..block.num_dst() {
             let dst = block.dst_locals[i] as usize;
             let srcs = block.sources_of(i);
             let edge_base = block.src_offsets[i] as usize;
-            for h in 0..self.heads {
-                let g_head: Vec<f32> = Self::head_slice(g.row(i), h, f).to_vec();
+            for h in 0..heads {
+                let g_head = Self::head_slice(g.row(i), h, f);
                 // dα_k = <g_head, z_vk>; dz_vk += α_k · g_head.
-                let mut d_alpha = vec![0.0f32; srcs.len()];
+                d_alpha.clear();
                 for (k, &v) in srcs.iter().enumerate() {
-                    let alpha = self.alphas[(edge_base + k) * self.heads + h];
+                    let alpha = alphas[(edge_base + k) * heads + h];
                     let z_v = Self::head_slice(z.row(v as usize), h, f);
                     let mut dot = 0.0;
                     let d_row = &mut d_z.row_mut(v as usize)[h * f..(h + 1) * f];
-                    for ((dz, &gg), &zz) in d_row.iter_mut().zip(&g_head).zip(z_v) {
+                    for ((dz, &gg), &zz) in d_row.iter_mut().zip(g_head).zip(z_v) {
                         *dz += alpha * gg;
                         dot += gg * zz;
                     }
-                    d_alpha[k] = dot;
+                    d_alpha.push(dot);
                 }
                 // Softmax backward: de_k = α_k (dα_k − Σ_j α_j dα_j).
-                let weighted: f32 = srcs
+                let weighted: f32 = d_alpha
                     .iter()
                     .enumerate()
-                    .map(|(k, _)| self.alphas[(edge_base + k) * self.heads + h] * d_alpha[k])
+                    .map(|(k, &da)| alphas[(edge_base + k) * heads + h] * da)
                     .sum();
+                let a_r = attn_r.row(h);
                 let mut ds_l_total = 0.0f32;
                 for (k, &v) in srcs.iter().enumerate() {
-                    let alpha = self.alphas[(edge_base + k) * self.heads + h];
+                    let alpha = alphas[(edge_base + k) * heads + h];
                     let de = alpha * (d_alpha[k] - weighted);
-                    let pre = self.e_pre[(edge_base + k) * self.heads + h];
+                    let pre = e_pre[(edge_base + k) * heads + h];
                     let ds = if pre > 0.0 { de } else { LEAKY_SLOPE * de };
                     ds_l_total += ds;
                     // s_r = a_rᵀ z_v: propagate into z_v and a_r.
-                    let z_v: Vec<f32> = Self::head_slice(z.row(v as usize), h, f).to_vec();
-                    let a_r = self.attn_r.row(h).to_vec();
                     let d_row = &mut d_z.row_mut(v as usize)[h * f..(h + 1) * f];
-                    for ((dz, &ar), _) in d_row.iter_mut().zip(&a_r).zip(&z_v) {
+                    for (dz, &ar) in d_row.iter_mut().zip(a_r) {
                         *dz += ds * ar;
                     }
-                    let da_r = self.grad_attn_r.row_mut(h);
-                    for (da, &zz) in da_r.iter_mut().zip(&z_v) {
+                    let z_v = Self::head_slice(z.row(v as usize), h, f);
+                    for (da, &zz) in grad_attn_r.row_mut(h).iter_mut().zip(z_v) {
                         *da += ds * zz;
                     }
                 }
                 // s_l = a_lᵀ z_dst: one total per destination/head.
-                let z_dst: Vec<f32> = Self::head_slice(z.row(dst), h, f).to_vec();
-                let a_l = self.attn_l.row(h).to_vec();
                 let d_row = &mut d_z.row_mut(dst)[h * f..(h + 1) * f];
-                for (dz, &al) in d_row.iter_mut().zip(&a_l) {
+                for (dz, &al) in d_row.iter_mut().zip(attn_l.row(h)) {
                     *dz += ds_l_total * al;
                 }
-                let da_l = self.grad_attn_l.row_mut(h);
-                for (da, &zz) in da_l.iter_mut().zip(&z_dst) {
+                let z_dst = Self::head_slice(z.row(dst), h, f);
+                for (da, &zz) in grad_attn_l.row_mut(h).iter_mut().zip(z_dst) {
                     *da += ds_l_total * zz;
                 }
             }
         }
 
-        self.grad_weight += &input.matmul_transpose_a(&d_z);
-        d_z.matmul_transpose_b(&self.weight)
+        *grad_weight += &input.matmul_transpose_a(&d_z);
+        input_grad.then(|| d_z.matmul_transpose_b(weight))
     }
 
     fn apply_grads(&mut self, opt: &mut dyn Optimizer, slot_base: usize) -> usize {
@@ -316,7 +322,7 @@ mod tests {
         let upstream = input(2, 4, 8);
         let mut l = layer(2, 2, false);
         l.forward(&block, &x);
-        l.backward(&block, &upstream);
+        l.backward(&block, &upstream, true);
         let analytic = l.grad_attn_l.clone();
         let eps = 1e-2;
         for i in 0..analytic.as_slice().len() {
@@ -346,7 +352,7 @@ mod tests {
         let upstream = input(2, 4, 10);
         let mut l = layer(2, 2, false);
         l.forward(&block, &x);
-        l.backward(&block, &upstream);
+        l.backward(&block, &upstream, true);
         let mut opt = Sgd::new(0.05);
         assert_eq!(l.apply_grads(&mut opt, 0), 3);
         assert_eq!(l.grad_weight.norm(), 0.0);

@@ -4,11 +4,10 @@
 //! sampled neighbours (including the self-loop the sampler adds), the
 //! standard normalisation for sampled subgraphs.
 
-use super::{add_bias, column_sums, GnnLayer};
+use super::{activate, activate_backward, add_bias, column_sums, GnnLayer};
 use crate::aggregate::{mean_aggregate, mean_aggregate_backward};
 use fastgl_sample::Block;
 use fastgl_tensor::init::{xavier_uniform, zeros_bias};
-use fastgl_tensor::ops::{relu, relu_backward};
 use fastgl_tensor::{Matrix, Optimizer};
 use rand::RngCore;
 
@@ -19,7 +18,7 @@ pub struct GcnLayer {
     bias: Matrix,
     activation: bool,
     // Forward caches.
-    input: Option<Matrix>,
+    input_rows: usize,
     aggregated: Option<Matrix>,
     pre_activation: Option<Matrix>,
     // Accumulated gradients.
@@ -35,7 +34,7 @@ impl GcnLayer {
             weight: xavier_uniform(d_in, d_out, rng),
             bias: zeros_bias(d_out),
             activation,
-            input: None,
+            input_rows: 0,
             aggregated: None,
             pre_activation: None,
             grad_weight: Matrix::zeros(d_in, d_out),
@@ -58,32 +57,21 @@ impl GnnLayer for GcnLayer {
         let agg = mean_aggregate(block, input);
         let mut z = agg.matmul(&self.weight);
         add_bias(&mut z, &self.bias);
-        self.input = Some(input.clone());
+        self.input_rows = input.rows();
         self.aggregated = Some(agg);
-        self.pre_activation = Some(z.clone());
-        if self.activation {
-            relu(&z)
-        } else {
-            z
-        }
+        activate(z, self.activation, &mut self.pre_activation)
     }
 
-    fn backward(&mut self, block: &Block, grad_out: &Matrix) -> Matrix {
-        let input = self.input.as_ref().expect("forward before backward");
+    fn backward(&mut self, block: &Block, grad_out: &Matrix, input_grad: bool) -> Option<Matrix> {
         let agg = self.aggregated.as_ref().expect("forward before backward");
-        let pre = self
-            .pre_activation
-            .as_ref()
-            .expect("forward before backward");
-        let g = if self.activation {
-            relu_backward(pre, grad_out)
-        } else {
-            grad_out.clone()
-        };
+        let g = activate_backward(self.activation, &self.pre_activation, grad_out);
         self.grad_weight += &agg.matmul_transpose_a(&g);
         self.grad_bias += &column_sums(&g);
+        if !input_grad {
+            return None;
+        }
         let d_agg = g.matmul_transpose_b(&self.weight);
-        mean_aggregate_backward(block, &d_agg, input.rows())
+        Some(mean_aggregate_backward(block, &d_agg, self.input_rows))
     }
 
     fn apply_grads(&mut self, opt: &mut dyn Optimizer, slot_base: usize) -> usize {
@@ -177,7 +165,7 @@ mod tests {
         let upstream = input(2, 2, 8);
         let mut l = layer(false);
         l.forward(&block, &x);
-        l.backward(&block, &upstream);
+        l.backward(&block, &upstream, true);
         let analytic = l.grad_weight.clone();
         let eps = 1e-2;
         for i in 0..analytic.as_slice().len() {
@@ -207,7 +195,7 @@ mod tests {
         let upstream = input(2, 2, 10);
         let mut l = layer(false);
         l.forward(&block, &x);
-        l.backward(&block, &upstream);
+        l.backward(&block, &upstream, true);
         let w_before = l.weight.clone();
         let mut opt = Sgd::new(0.1);
         let slots = l.apply_grads(&mut opt, 0);

@@ -4,7 +4,7 @@
 //! The sum runs over the sampled sources (the sampler's self-loop already
 //! contributes `X_u` once; ε scales an additional copy).
 
-use super::{add_bias, column_sums, GnnLayer};
+use super::{activate, activate_backward, add_bias, column_sums, GnnLayer};
 use crate::aggregate::{sum_aggregate, sum_aggregate_backward};
 use fastgl_sample::Block;
 use fastgl_tensor::init::{xavier_uniform, zeros_bias};
@@ -22,7 +22,7 @@ pub struct GinLayer {
     epsilon: f32,
     activation: bool,
     // Caches.
-    input: Option<Matrix>,
+    input_rows: usize,
     agg: Option<Matrix>,
     hidden_pre: Option<Matrix>,
     out_pre: Option<Matrix>,
@@ -51,7 +51,7 @@ impl GinLayer {
             b2: zeros_bias(d_out),
             epsilon,
             activation,
-            input: None,
+            input_rows: 0,
             agg: None,
             hidden_pre: None,
             out_pre: None,
@@ -68,9 +68,7 @@ impl GnnLayer for GinLayer {
         let mut agg = sum_aggregate(block, input);
         if self.epsilon != 0.0 {
             for (i, &dst) in block.dst_locals.iter().enumerate() {
-                let src_row: Vec<f32> = input.row(dst as usize).to_vec();
-                let row = agg.row_mut(i);
-                for (a, x) in row.iter_mut().zip(src_row) {
+                for (a, &x) in agg.row_mut(i).iter_mut().zip(input.row(dst as usize)) {
                     *a += self.epsilon * x;
                 }
             }
@@ -80,28 +78,16 @@ impl GnnLayer for GinLayer {
         let r = relu(&h1);
         let mut out = r.matmul(&self.w2);
         add_bias(&mut out, &self.b2);
-        self.input = Some(input.clone());
+        self.input_rows = input.rows();
         self.agg = Some(agg);
         self.hidden_pre = Some(h1);
-        self.out_pre = Some(out.clone());
-        if self.activation {
-            relu(&out)
-        } else {
-            out
-        }
+        activate(out, self.activation, &mut self.out_pre)
     }
 
-    fn backward(&mut self, block: &Block, grad_out: &Matrix) -> Matrix {
-        let input = self.input.as_ref().expect("forward before backward");
+    fn backward(&mut self, block: &Block, grad_out: &Matrix, input_grad: bool) -> Option<Matrix> {
         let agg = self.agg.as_ref().expect("forward before backward");
         let h1 = self.hidden_pre.as_ref().expect("forward before backward");
-        let out_pre = self.out_pre.as_ref().expect("forward before backward");
-
-        let g_out = if self.activation {
-            relu_backward(out_pre, grad_out)
-        } else {
-            grad_out.clone()
-        };
+        let g_out = activate_backward(self.activation, &self.out_pre, grad_out);
         let r = relu(h1);
         self.grad_w2 += &r.matmul_transpose_a(&g_out);
         self.grad_b2 += &column_sums(&g_out);
@@ -109,19 +95,20 @@ impl GnnLayer for GinLayer {
         let d_h1 = relu_backward(h1, &d_r);
         self.grad_w1 += &agg.matmul_transpose_a(&d_h1);
         self.grad_b1 += &column_sums(&d_h1);
+        if !input_grad {
+            return None;
+        }
         let d_agg = d_h1.matmul_transpose_b(&self.w1);
 
-        let mut d_input = sum_aggregate_backward(block, &d_agg, input.rows());
+        let mut d_input = sum_aggregate_backward(block, &d_agg, self.input_rows);
         if self.epsilon != 0.0 {
             for (i, &dst) in block.dst_locals.iter().enumerate() {
-                let g_row: Vec<f32> = d_agg.row(i).to_vec();
-                let row = d_input.row_mut(dst as usize);
-                for (o, g) in row.iter_mut().zip(g_row) {
+                for (o, &g) in d_input.row_mut(dst as usize).iter_mut().zip(d_agg.row(i)) {
                     *o += self.epsilon * g;
                 }
             }
         }
-        d_input
+        Some(d_input)
     }
 
     fn apply_grads(&mut self, opt: &mut dyn Optimizer, slot_base: usize) -> usize {
@@ -224,7 +211,7 @@ mod tests {
         let upstream = input(2, 2, 8);
         let mut l = layer(0.0, false);
         l.forward(&block, &x);
-        l.backward(&block, &upstream);
+        l.backward(&block, &upstream, true);
         let mut opt = Sgd::new(0.01);
         assert_eq!(l.apply_grads(&mut opt, 0), 4);
         assert_eq!(l.grad_w1.norm(), 0.0);

@@ -6,13 +6,20 @@ pub mod gin;
 pub mod sage;
 
 use fastgl_sample::Block;
+use fastgl_tensor::ops::{relu, relu_backward};
 use fastgl_tensor::{Matrix, Optimizer};
+use std::borrow::Cow;
 
 /// A GNN layer operating on one subgraph block.
 ///
-/// `forward` caches whatever `backward` needs; `backward` accumulates
-/// parameter gradients internally and returns the gradient with respect to
-/// the layer input; `apply_grads` consumes the accumulated gradients via an
+/// `forward` caches what `backward` reads and nothing more: GCN, SAGE and
+/// GIN keep only the input's row count (plus their own intermediates),
+/// while GAT keeps a copy of its input because its weight gradient is
+/// `Xᵀ·d_z`. `backward` always accumulates every parameter gradient
+/// internally; it computes the gradient with respect to the layer input
+/// only when the caller asks for it, which a model never does for its
+/// first layer (that input is the gathered feature matrix, not a
+/// parameter). `apply_grads` consumes the accumulated gradients via an
 /// optimiser and returns how many optimiser slots the layer used (so a
 /// model can hand each layer a disjoint slot range).
 pub trait GnnLayer {
@@ -20,9 +27,11 @@ pub trait GnnLayer {
     /// `input`, whose rows cover the block's source ID space.
     fn forward(&mut self, block: &Block, input: &Matrix) -> Matrix;
 
-    /// Backpropagates `grad_out` (rows = destinations), returning the
-    /// gradient with respect to `input` and accumulating parameter grads.
-    fn backward(&mut self, block: &Block, grad_out: &Matrix) -> Matrix;
+    /// Backpropagates `grad_out` (rows = destinations) and accumulates the
+    /// parameter gradients. Returns the gradient with respect to the
+    /// forward `input` when `input_grad` is true and `None` otherwise; the
+    /// parameter gradients are the same either way.
+    fn backward(&mut self, block: &Block, grad_out: &Matrix, input_grad: bool) -> Option<Matrix>;
 
     /// Applies and clears accumulated parameter gradients.
     fn apply_grads(&mut self, opt: &mut dyn Optimizer, slot_base: usize) -> usize;
@@ -41,6 +50,33 @@ pub trait GnnLayer {
 
     /// Mutable access to the same matrices, in the same order.
     fn params_mut(&mut self) -> Vec<&mut Matrix>;
+}
+
+/// Applies a layer's optional ReLU to `z`. Only an activated layer's
+/// backward reads the pre-activation, so only then is `z` kept in `pre`.
+pub(crate) fn activate(z: Matrix, activation: bool, pre: &mut Option<Matrix>) -> Matrix {
+    if activation {
+        let out = relu(&z);
+        *pre = Some(z);
+        out
+    } else {
+        z
+    }
+}
+
+/// Backward of [`activate`]: `grad_out` masked by the cached
+/// pre-activation, or `grad_out` itself when the layer has no ReLU.
+pub(crate) fn activate_backward<'a>(
+    activation: bool,
+    pre: &Option<Matrix>,
+    grad_out: &'a Matrix,
+) -> Cow<'a, Matrix> {
+    if activation {
+        let pre = pre.as_ref().expect("forward before backward");
+        Cow::Owned(relu_backward(pre, grad_out))
+    } else {
+        Cow::Borrowed(grad_out)
+    }
 }
 
 /// Column-wise sums of a matrix as a `1 × cols` bias-gradient row.
@@ -108,7 +144,9 @@ pub(crate) mod test_util {
     ) {
         let mut layer = make_layer();
         layer.forward(block, input);
-        let grad = layer.backward(block, upstream);
+        let grad = layer
+            .backward(block, upstream, true)
+            .expect("an input gradient was asked for");
         let loss = |m: &Matrix| -> f32 {
             let mut l = make_layer();
             let out = l.forward(block, m);
@@ -130,6 +168,49 @@ pub(crate) mod test_util {
                 (fd - an).abs() < tol,
                 "input grad[{i}]: finite-diff {fd} vs analytic {an}"
             );
+        }
+    }
+
+    /// Skipping the input gradient must not change what a layer learns:
+    /// after one SGD step, the parameters are bit-identical either way.
+    #[test]
+    fn input_gradient_flag_leaves_parameter_updates_unchanged() {
+        use fastgl_graph::DeterministicRng;
+        use fastgl_tensor::Sgd;
+        fn make(name: &str) -> Box<dyn GnnLayer> {
+            let rng = &mut DeterministicRng::seed(5);
+            match name {
+                "GCN" => Box::new(gcn::GcnLayer::new(3, 2, true, rng)),
+                "SAGE" => Box::new(sage::SageLayer::new(3, 2, true, rng)),
+                "GIN" => Box::new(gin::GinLayer::new(3, 4, 2, 0.3, true, rng)),
+                _ => Box::new(gat::GatLayer::new(3, 2, 2, true, rng)),
+            }
+        }
+        let bits = |l: &dyn GnnLayer| -> Vec<u32> {
+            l.params()
+                .iter()
+                .flat_map(|p| p.as_slice().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        let block = tiny_block();
+        let x = input(4, 3, 11);
+        for name in ["GCN", "SAGE", "GIN", "GAT"] {
+            let mut with = make(name);
+            let mut without = make(name);
+            let initial = bits(&*with);
+            let out = with.forward(&block, &x);
+            assert_eq!(out, without.forward(&block, &x), "{name}");
+            let upstream = input(out.rows(), out.cols(), 12);
+            let grad = with.backward(&block, &upstream, true);
+            assert_eq!(grad.map(|g| (g.rows(), g.cols())), Some((4, 3)), "{name}");
+            assert!(
+                without.backward(&block, &upstream, false).is_none(),
+                "{name}"
+            );
+            with.apply_grads(&mut Sgd::new(0.1), 0);
+            without.apply_grads(&mut Sgd::new(0.1), 0);
+            assert_ne!(bits(&*with), initial, "{name}: the step moved nothing");
+            assert_eq!(bits(&*with), bits(&*without), "{name}");
         }
     }
 

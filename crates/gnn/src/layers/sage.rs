@@ -5,11 +5,10 @@
 //! of the paper's benchmark trio, but the library exposes it because
 //! sampled pipelines in the wild overwhelmingly run SAGE.
 
-use super::{add_bias, column_sums, GnnLayer};
+use super::{activate, activate_backward, add_bias, column_sums, GnnLayer};
 use crate::aggregate::{mean_aggregate, mean_aggregate_backward};
 use fastgl_sample::Block;
 use fastgl_tensor::init::{xavier_uniform, zeros_bias};
-use fastgl_tensor::ops::{relu, relu_backward};
 use fastgl_tensor::{Matrix, Optimizer};
 use rand::RngCore;
 
@@ -21,7 +20,7 @@ pub struct SageLayer {
     bias: Matrix,
     activation: bool,
     // Caches.
-    input: Option<Matrix>,
+    input_rows: usize,
     self_rows: Option<Matrix>,
     aggregated: Option<Matrix>,
     pre_activation: Option<Matrix>,
@@ -39,7 +38,7 @@ impl SageLayer {
             w_neigh: xavier_uniform(d_in, d_out, rng),
             bias: zeros_bias(d_out),
             activation,
-            input: None,
+            input_rows: 0,
             self_rows: None,
             aggregated: None,
             pre_activation: None,
@@ -62,37 +61,26 @@ impl GnnLayer for SageLayer {
         let mut z = self_rows.matmul(&self.w_self);
         z += &agg.matmul(&self.w_neigh);
         add_bias(&mut z, &self.bias);
-        self.input = Some(input.clone());
+        self.input_rows = input.rows();
         self.self_rows = Some(self_rows);
         self.aggregated = Some(agg);
-        self.pre_activation = Some(z.clone());
-        if self.activation {
-            relu(&z)
-        } else {
-            z
-        }
+        activate(z, self.activation, &mut self.pre_activation)
     }
 
-    fn backward(&mut self, block: &Block, grad_out: &Matrix) -> Matrix {
-        let input = self.input.as_ref().expect("forward before backward");
+    fn backward(&mut self, block: &Block, grad_out: &Matrix, input_grad: bool) -> Option<Matrix> {
         let self_rows = self.self_rows.as_ref().expect("forward before backward");
         let agg = self.aggregated.as_ref().expect("forward before backward");
-        let pre = self
-            .pre_activation
-            .as_ref()
-            .expect("forward before backward");
-        let g = if self.activation {
-            relu_backward(pre, grad_out)
-        } else {
-            grad_out.clone()
-        };
+        let g = activate_backward(self.activation, &self.pre_activation, grad_out);
         self.grad_w_self += &self_rows.matmul_transpose_a(&g);
         self.grad_w_neigh += &agg.matmul_transpose_a(&g);
         self.grad_bias += &column_sums(&g);
+        if !input_grad {
+            return None;
+        }
 
         // Neighbour path scatters back through the mean aggregation.
         let d_agg = g.matmul_transpose_b(&self.w_neigh);
-        let mut d_input = mean_aggregate_backward(block, &d_agg, input.rows());
+        let mut d_input = mean_aggregate_backward(block, &d_agg, self.input_rows);
         // Self path scatters to the destination rows directly.
         let d_self = g.matmul_transpose_b(&self.w_self);
         for (i, &dst) in block.dst_locals.iter().enumerate() {
@@ -101,7 +89,7 @@ impl GnnLayer for SageLayer {
                 *o += v;
             }
         }
-        d_input
+        Some(d_input)
     }
 
     fn apply_grads(&mut self, opt: &mut dyn Optimizer, slot_base: usize) -> usize {
@@ -204,7 +192,7 @@ mod tests {
         let upstream = input(2, 2, 8);
         let mut l = layer(false);
         l.forward(&block, &x);
-        l.backward(&block, &upstream);
+        l.backward(&block, &upstream, true);
         let eps = 1e-2;
         for (which, analytic) in [(0, l.grad_w_self.clone()), (1, l.grad_w_neigh.clone())] {
             for i in 0..analytic.as_slice().len() {
@@ -237,7 +225,7 @@ mod tests {
         let upstream = input(2, 2, 10);
         let mut l = layer(false);
         l.forward(&block, &x);
-        l.backward(&block, &upstream);
+        l.backward(&block, &upstream, true);
         let mut opt = Sgd::new(0.1);
         assert_eq!(l.apply_grads(&mut opt, 0), 3);
         assert_eq!(l.grad_w_self.norm(), 0.0);

@@ -270,19 +270,26 @@ impl GnnModel {
             subgraph.num_nodes(),
             "feature rows must cover the subgraph"
         );
-        let mut h = features.clone();
+        // Layer 0 reads the features in place; later layers read the
+        // previous layer's output.
+        let mut h: Option<Matrix> = None;
         for (layer, block) in self.layers.iter_mut().zip(&subgraph.blocks) {
-            h = layer.forward(block, &h);
+            h = Some(layer.forward(block, h.as_ref().unwrap_or(features)));
         }
-        h
+        h.expect("a model has at least one layer")
     }
 
     /// Backward pass from the loss gradient over seed logits; accumulates
-    /// parameter gradients in every layer.
+    /// parameter gradients in every layer. Layer 0 is not asked for the
+    /// gradient of its input: the features are not trainable.
     pub fn backward(&mut self, subgraph: &SampledSubgraph, grad_logits: &Matrix) {
-        let mut g = grad_logits.clone();
-        for (layer, block) in self.layers.iter_mut().zip(&subgraph.blocks).rev() {
-            g = layer.backward(block, &g);
+        let mut g: Option<Matrix> = None;
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            g = layer.backward(
+                &subgraph.blocks[i],
+                g.as_ref().unwrap_or(grad_logits),
+                i > 0,
+            );
         }
     }
 
