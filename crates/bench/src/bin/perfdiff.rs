@@ -2,39 +2,34 @@
 //! reports against a committed baseline directory.
 //!
 //! ```text
-//! perfdiff --baseline results/quick --candidate /tmp/fresh \
-//!          [--wall-tol 0.5] [--markdown perfdiff.md]
+//! perfdiff --baseline results/quick --candidate /tmp/fresh [--markdown perfdiff.md]
 //! ```
 //!
 //! Simulated cells must match **exactly** (they are deterministic by the
 //! workspace's test suite); wall-clock cells (headers containing `wall`)
-//! are only compared when `--wall-tol <fraction>` opts in, direction
-//! aware. Reports whose provenance stamps carry different scale profiles
-//! are refused rather than mis-diffed.
+//! are counted and skipped. Reports whose provenance stamps carry
+//! different scale profiles are refused rather than mis-diffed.
 //!
 //! Exit codes: `0` clean, `1` regressions found, `2` usage error or
 //! incomparable runs.
 
-use fastgl_insight::perfdiff::{diff_dirs, DiffOptions};
+use fastgl_insight::perfdiff::diff_dirs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     baseline: PathBuf,
     candidate: PathBuf,
-    opts: DiffOptions,
     markdown: Option<PathBuf>,
 }
 
 fn usage() -> &'static str {
-    "usage: perfdiff --baseline <dir> --candidate <dir> \
-     [--wall-tol <fraction>] [--markdown <file>]"
+    "usage: perfdiff --baseline <dir> --candidate <dir> [--markdown <file>]"
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut baseline = None;
     let mut candidate = None;
-    let mut wall_tol = None;
     let mut markdown = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -46,25 +41,12 @@ fn parse_args() -> Result<Args, String> {
             "--baseline" => baseline = Some(PathBuf::from(value()?)),
             "--candidate" => candidate = Some(PathBuf::from(value()?)),
             "--markdown" => markdown = Some(PathBuf::from(value()?)),
-            "--wall-tol" => {
-                let raw = value()?;
-                let tol: f64 = raw
-                    .parse()
-                    .map_err(|_| format!("--wall-tol wants a fraction, got '{raw}'"))?;
-                if !(tol >= 0.0 && tol.is_finite()) {
-                    return Err(format!(
-                        "--wall-tol must be a finite fraction >= 0, got {tol}"
-                    ));
-                }
-                wall_tol = Some(tol);
-            }
             other => return Err(format!("unknown flag '{other}'\n{}", usage())),
         }
     }
     Ok(Args {
         baseline: baseline.ok_or_else(|| format!("--baseline is required\n{}", usage()))?,
         candidate: candidate.ok_or_else(|| format!("--candidate is required\n{}", usage()))?,
-        opts: DiffOptions { wall_tol },
         markdown,
     })
 }
@@ -77,7 +59,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let summary = match diff_dirs(&args.baseline, &args.candidate, &args.opts) {
+    let summary = match diff_dirs(&args.baseline, &args.candidate) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("perfdiff: {e}");

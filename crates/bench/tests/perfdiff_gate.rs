@@ -10,15 +10,15 @@ fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_perfdiff")
 }
 
-/// A minimal but realistic report: provenance-stamped, one exact column,
-/// one wall column, one informational column.
+/// A minimal but realistic report: provenance-stamped, one exact column
+/// and one wall column.
 fn report_json(id: &str, sim_io: &str, wall: &str) -> String {
     format!(
         "{{\"id\":\"{id}\",\"description\":\"gate fixture\",\"notes\":[],\
          \"tables\":[{{\"title\":\"Breakdown\",\
-         \"headers\":[\"case\",\"epoch io\",\"wall epoch time\",\"sample busy/stall\"],\
-         \"rows\":[[\"gcn/products\",\"{sim_io}\",\"{wall}\",\"1.0ms / 2.0ms\"],\
-         [\"gcn/mag\",\"9.000ms\",\"2.000s\",\"3.0ms / 4.0ms\"]]}}],\
+         \"headers\":[\"case\",\"epoch io\",\"wall epoch time\"],\
+         \"rows\":[[\"gcn/products\",\"{sim_io}\",\"{wall}\"],\
+         [\"gcn/mag\",\"9.000ms\",\"2.000s\"]]}}],\
          \"provenance\":{{\"profile\":\"quick\",\"threads\":\"auto\",\
          \"prefetch\":\"default\",\"telemetry\":false,\"git\":null}}}}\n"
     )
@@ -109,7 +109,7 @@ fn injected_ten_percent_slowdown_fails_with_the_right_markdown_row() {
 }
 
 #[test]
-fn wall_noise_is_ignored_without_tolerance_and_gated_with_one() {
+fn wall_cells_are_skipped_even_when_they_double() {
     let dirs = fresh_dirs("wall");
     std::fs::write(
         dirs.baseline.join("b.json"),
@@ -123,11 +123,11 @@ fn wall_noise_is_ignored_without_tolerance_and_gated_with_one() {
     )
     .unwrap();
     let (code, md) = run_gate(&dirs.baseline, &dirs.candidate, &[]);
-    assert_eq!(code, 0, "wall cells are skipped by default:\n{md}");
-    assert!(md.contains("wall cell(s) skipped"));
-    let (code, md) = run_gate(&dirs.baseline, &dirs.candidate, &["--wall-tol", "0.5"]);
-    assert_eq!(code, 1, "a 2x wall slowdown exceeds a 50% tolerance:\n{md}");
-    assert!(md.contains("wall-tier value moved +100.0%"));
+    assert_eq!(code, 0, "wall cells are never compared:\n{md}");
+    assert!(
+        md.contains("4 exact cell(s), 2 wall cell(s) skipped"),
+        "{md}"
+    );
     let _ = std::fs::remove_dir_all(&dirs.root);
 }
 
@@ -157,4 +157,18 @@ fn usage_errors_exit_two() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("usage:"), "stderr explains usage: {err}");
+    // No flag turns wall comparison on.
+    let dirs = fresh_dirs("no_wall_tol");
+    let out = Command::new(bin())
+        .arg("--baseline")
+        .arg(&dirs.baseline)
+        .arg("--candidate")
+        .arg(&dirs.candidate)
+        .args(["--wall-tol", "0.5"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag '--wall-tol'"), "{err}");
+    let _ = std::fs::remove_dir_all(&dirs.root);
 }

@@ -24,7 +24,9 @@ pub struct GinLayer {
     // Caches.
     input_rows: usize,
     agg: Option<Matrix>,
-    hidden_pre: Option<Matrix>,
+    /// `relu(h1)`: `grad_w2`'s operand, and the ReLU mask (`r > 0`
+    /// exactly where `h1 > 0`).
+    hidden: Option<Matrix>,
     out_pre: Option<Matrix>,
     // Gradients.
     grad_w1: Matrix,
@@ -53,7 +55,7 @@ impl GinLayer {
             activation,
             input_rows: 0,
             agg: None,
-            hidden_pre: None,
+            hidden: None,
             out_pre: None,
             grad_w1: Matrix::zeros(d_in, mlp_hidden),
             grad_b1: Matrix::zeros(1, mlp_hidden),
@@ -80,19 +82,18 @@ impl GnnLayer for GinLayer {
         add_bias(&mut out, &self.b2);
         self.input_rows = input.rows();
         self.agg = Some(agg);
-        self.hidden_pre = Some(h1);
+        self.hidden = Some(r);
         activate(out, self.activation, &mut self.out_pre)
     }
 
     fn backward(&mut self, block: &Block, grad_out: &Matrix, input_grad: bool) -> Option<Matrix> {
         let agg = self.agg.as_ref().expect("forward before backward");
-        let h1 = self.hidden_pre.as_ref().expect("forward before backward");
+        let r = self.hidden.as_ref().expect("forward before backward");
         let g_out = activate_backward(self.activation, &self.out_pre, grad_out);
-        let r = relu(h1);
         self.grad_w2 += &r.matmul_transpose_a(&g_out);
         self.grad_b2 += &column_sums(&g_out);
         let d_r = g_out.matmul_transpose_b(&self.w2);
-        let d_h1 = relu_backward(h1, &d_r);
+        let d_h1 = relu_backward(r, &d_r);
         self.grad_w1 += &agg.matmul_transpose_a(&d_h1);
         self.grad_b1 += &column_sums(&d_h1);
         if !input_grad {

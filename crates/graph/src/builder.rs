@@ -90,11 +90,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of edges accumulated so far (before dedup/symmetrise).
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalises the builder into a validated [`Csr`].
     ///
     /// # Panics

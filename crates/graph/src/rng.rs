@@ -103,12 +103,6 @@ impl DeterministicRng {
         (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform `f32` in `[0, 1)`.
-    #[inline]
-    pub fn unit_f32(&mut self) -> f32 {
-        (self.next() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
-    }
-
     /// Standard normal sample via Box–Muller.
     pub fn normal_f32(&mut self) -> f32 {
         let u1 = self.unit_f64().max(1e-12);

@@ -17,13 +17,12 @@
 //!   memory-hierarchy breakdown (shared / L1 / L2 / global / PCIe bytes,
 //!   cache hit rates, Match-Reorder savings), regenerating the Fig. 1 /
 //!   Fig. 10-shaped attribution from any run's telemetry.
-//! * [`perfdiff`] — a noise-aware regression gate over the `results/*.json`
-//!   reports: simulated values diff under an **exact** tier (any change
-//!   fails), wall-clock values under an opt-in relative-tolerance tier,
-//!   and run provenance guards against apples-to-oranges comparisons.
+//! * [`perfdiff`] — a regression gate over the `results/*.json` reports:
+//!   every simulated cell must match exactly, columns headed `wall` are
+//!   skipped, and run provenance guards against apples-to-oranges
+//!   comparisons.
 //!
-//! DESIGN.md §11 documents the architecture and the tolerance-tier
-//! rationale.
+//! DESIGN.md §11 documents the architecture and the gate's one rule.
 
 #![deny(missing_docs)]
 
@@ -33,4 +32,4 @@ pub mod perfdiff;
 
 pub use critical_path::{BindingHistogram, BindingStage, CriticalPath, WindowAttribution};
 pub use memory::MemoryAttribution;
-pub use perfdiff::{DiffOptions, DiffSummary, ReportDoc};
+pub use perfdiff::{DiffSummary, ReportDoc};

@@ -1,23 +1,18 @@
-//! The noise-aware perf-regression gate over `results/*.json` reports.
+//! The perf-regression gate over `results/*.json` reports.
 //!
 //! Every `fastgl-bench` experiment persists its tables as a JSON report.
-//! Those cells split into two populations with very different statistics:
+//! Nearly every cell is a **simulated** value (times, bytes, ratios,
+//! percentages derived from [`SimTime`](fastgl_gpusim::SimTime)): it is
+//! deterministic, and the same tree must reproduce it bit-for-bit on any
+//! machine, at any thread count. So the gate has one rule: every cell is
+//! compared exactly, and any change is a regression (improvements
+//! included, because an unexplained change in a pinned quantity means the
+//! model changed and the baseline must be re-committed deliberately).
 //!
-//! * **simulated** values (times, bytes, ratios, percentages derived from
-//!   [`SimTime`](fastgl_gpusim::SimTime)) are *deterministic* — the same
-//!   tree must reproduce them bit-for-bit on any machine, at any thread
-//!   count. They diff under the **exact tier**: any change is a
-//!   regression (improvements included, because an unexplained change in
-//!   a pinned quantity means the model changed and the baseline must be
-//!   re-committed deliberately).
-//! * **wall-clock** values vary run to run and machine to machine. They
-//!   live in columns whose headers contain `wall` (a naming convention
-//!   the experiments follow) and are only compared when the caller opts
-//!   in with a relative tolerance ([`DiffOptions::wall_tol`]), direction
-//!   aware: a time growing past the tolerance is a regression, as is a
-//!   `speedup` shrinking past it. Without a tolerance, wall cells are
-//!   counted and skipped.
-//! * compound `busy/stall` cells are informational and never compared.
+//! The one exception is host wall-clock time, which varies run to run.
+//! Columns whose header contains `wall` (a naming convention the
+//! experiments follow) are counted and skipped. Wall time is measured,
+//! as medians with their spread, by `perfbench`, not here.
 //!
 //! Reports also carry a **provenance** stamp (scale profile, thread/
 //! prefetch overrides, git revision). Comparing runs from different scale
@@ -119,76 +114,16 @@ fn strings(v: &Value) -> Result<Vec<String>, String> {
         .collect()
 }
 
-/// How a column's cells are compared.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tier {
-    /// Deterministic simulated value: any string difference fails.
-    Exact,
-    /// Wall-clock value: compared only under [`DiffOptions::wall_tol`].
-    Wall,
-    /// Compound/diagnostic cell: never compared.
-    Informational,
-}
-
-/// Classifies a column header into its comparison tier.
-///
-/// Convention (enforced by the experiments): wall-clock columns say
-/// `wall` in the header; compound busy/stall diagnostics say `busy/stall`.
-/// Everything else is simulated and exact.
-pub fn tier(header: &str) -> Tier {
-    let h = header.to_ascii_lowercase();
-    if h.contains("busy/stall") {
-        Tier::Informational
-    } else if h.contains("wall") {
-        Tier::Wall
-    } else {
-        Tier::Exact
-    }
-}
-
-/// Parses a formatted report cell into a comparable magnitude.
-///
-/// Understands the bench formatters: `2.500s` / `4.218ms` / `3.1us`
-/// (seconds), `60.7%`, `1.17x`, `3.00GB` / `1.5MB` / `2KB` / `512B`
-/// (bytes), and bare numbers. Returns `None` for labels and compound
-/// cells.
-pub fn parse_cell(cell: &str) -> Option<f64> {
-    let s = cell.trim();
-    let tail = |suffix: &str| -> Option<f64> {
-        s.strip_suffix(suffix)
-            .and_then(|head| head.parse::<f64>().ok())
-    };
-    // Longest suffixes first so "ms" wins over "s" and "GB" over "B".
-    for (suffix, scale) in [
-        ("ms", 1e-3),
-        ("us", 1e-6),
-        ("GB", 1024.0 * 1024.0 * 1024.0),
-        ("MB", 1024.0 * 1024.0),
-        ("KB", 1024.0),
-        ("s", 1.0),
-        ("%", 0.01),
-        ("x", 1.0),
-        ("B", 1.0),
-    ] {
-        if let Some(v) = tail(suffix) {
-            return Some(v * scale);
-        }
-    }
-    s.parse::<f64>().ok()
-}
-
-/// Gate configuration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DiffOptions {
-    /// Relative tolerance for wall-tier cells (e.g. `0.25` allows ±25%).
-    /// `None` skips wall cells entirely.
-    pub wall_tol: Option<f64>,
+/// Whether a column holds host wall-clock time, which the gate skips.
+/// Convention (followed by the experiments): such headers say `wall`.
+pub fn is_wall(header: &str) -> bool {
+    header.to_ascii_lowercase().contains("wall")
 }
 
 /// What a finding means for the gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FindingKind {
-    /// A compared value got worse (or an exact value changed at all).
+    /// A compared (simulated) value changed, in either direction.
     Regression,
     /// The report shapes differ (tables/headers/rows added or removed).
     Structural,
@@ -233,12 +168,8 @@ pub struct DiffSummary {
     pub reports_compared: usize,
     /// Cells compared exactly.
     pub exact_cells: usize,
-    /// Wall cells compared under the tolerance.
-    pub wall_cells_checked: usize,
-    /// Wall cells skipped because no tolerance was given.
+    /// Wall-clock cells skipped.
     pub wall_cells_skipped: usize,
-    /// Informational cells skipped by design.
-    pub info_cells_skipped: usize,
 }
 
 impl DiffSummary {
@@ -261,14 +192,8 @@ impl DiffSummary {
         let mut out = String::from("# perfdiff\n\n");
         let _ = writeln!(
             out,
-            "Compared {} report(s): {} exact cell(s), {} wall cell(s) \
-             checked, {} wall cell(s) skipped (no tolerance), {} \
-             informational cell(s) skipped.\n",
-            self.reports_compared,
-            self.exact_cells,
-            self.wall_cells_checked,
-            self.wall_cells_skipped,
-            self.info_cells_skipped,
+            "Compared {} report(s): {} exact cell(s), {} wall cell(s) skipped.\n",
+            self.reports_compared, self.exact_cells, self.wall_cells_skipped,
         );
         if self.findings.is_empty() {
             out.push_str("**VERDICT: PASS** — no regressions.\n");
@@ -309,12 +234,7 @@ impl DiffSummary {
 const PROFILE_KEY: &str = "profile";
 
 /// Diffs one report pair into `summary`.
-pub fn diff_reports(
-    baseline: &ReportDoc,
-    candidate: &ReportDoc,
-    opts: &DiffOptions,
-    summary: &mut DiffSummary,
-) {
+pub fn diff_reports(baseline: &ReportDoc, candidate: &ReportDoc, summary: &mut DiffSummary) {
     summary.reports_compared += 1;
     let id = baseline.id.clone();
     // Provenance gate: refuse apples-to-oranges profiles. Reports written
@@ -372,72 +292,26 @@ pub fn diff_reports(
             continue;
         }
         for (br, cr) in bt.rows.iter().zip(&ct.rows) {
-            let row_label = br.first().cloned().unwrap_or_default();
+            let row_label = br.first().map_or("", String::as_str);
             for ((header, bc), cc) in bt.headers.iter().zip(br).zip(cr) {
-                let loc = format!("{table_loc} / row '{row_label}' / {header}");
-                match tier(header) {
-                    Tier::Informational => summary.info_cells_skipped += 1,
-                    Tier::Exact => {
-                        summary.exact_cells += 1;
-                        if bc != cc {
-                            summary.findings.push(Finding {
-                                report: id.clone(),
-                                location: loc,
-                                baseline: bc.clone(),
-                                candidate: cc.clone(),
-                                kind: FindingKind::Regression,
-                                detail: "exact-tier (simulated) value changed".into(),
-                            });
-                        }
-                    }
-                    Tier::Wall => match opts.wall_tol {
-                        None => summary.wall_cells_skipped += 1,
-                        Some(tol) => {
-                            summary.wall_cells_checked += 1;
-                            if let Some(f) = wall_regression(header, bc, cc, tol, &id, &loc) {
-                                summary.findings.push(f);
-                            }
-                        }
-                    },
+                if is_wall(header) {
+                    summary.wall_cells_skipped += 1;
+                    continue;
+                }
+                summary.exact_cells += 1;
+                if bc != cc {
+                    summary.findings.push(Finding {
+                        report: id.clone(),
+                        location: format!("{table_loc} / row '{row_label}' / {header}"),
+                        baseline: bc.clone(),
+                        candidate: cc.clone(),
+                        kind: FindingKind::Regression,
+                        detail: "simulated value changed".into(),
+                    });
                 }
             }
         }
     }
-}
-
-/// Checks one wall-tier cell pair under a relative tolerance.
-fn wall_regression(
-    header: &str,
-    baseline: &str,
-    candidate: &str,
-    tol: f64,
-    id: &str,
-    loc: &str,
-) -> Option<Finding> {
-    let (b, c) = (parse_cell(baseline)?, parse_cell(candidate)?);
-    if b <= 0.0 {
-        return None;
-    }
-    // "speedup" columns are better when larger; times are better smaller.
-    let higher_is_better = header.to_ascii_lowercase().contains("speedup");
-    let rel = (c - b) / b;
-    let regressed = if higher_is_better {
-        rel < -tol
-    } else {
-        rel > tol
-    };
-    regressed.then(|| Finding {
-        report: id.to_string(),
-        location: loc.to_string(),
-        baseline: baseline.to_string(),
-        candidate: candidate.to_string(),
-        kind: FindingKind::Regression,
-        detail: format!(
-            "wall-tier value moved {:+.1}% (tolerance ±{:.1}%)",
-            rel * 100.0,
-            tol * 100.0
-        ),
-    })
 }
 
 /// Diffs every `*.json` report in `baseline_dir` against its counterpart
@@ -449,11 +323,7 @@ fn wall_regression(
 ///
 /// Returns IO/parse failures on either side (a malformed committed
 /// baseline should fail loudly, not read as "no regressions").
-pub fn diff_dirs(
-    baseline_dir: &Path,
-    candidate_dir: &Path,
-    opts: &DiffOptions,
-) -> Result<DiffSummary, String> {
+pub fn diff_dirs(baseline_dir: &Path, candidate_dir: &Path) -> Result<DiffSummary, String> {
     let mut names: Vec<String> = std::fs::read_dir(baseline_dir)
         .map_err(|e| format!("cannot read {}: {e}", baseline_dir.display()))?
         .filter_map(|entry| {
@@ -490,7 +360,7 @@ pub fn diff_dirs(
             continue;
         }
         let candidate = read_and_parse(candidate_dir)?;
-        diff_reports(&baseline, &candidate, opts, &mut summary);
+        diff_reports(&baseline, &candidate, &mut summary);
     }
     Ok(summary)
 }
@@ -515,41 +385,26 @@ mod tests {
         }
     }
 
-    fn run_diff(b: &ReportDoc, c: &ReportDoc, opts: DiffOptions) -> DiffSummary {
+    fn run_diff(b: &ReportDoc, c: &ReportDoc) -> DiffSummary {
         let mut s = DiffSummary::default();
-        diff_reports(b, c, &opts, &mut s);
+        diff_reports(b, c, &mut s);
         s
     }
 
     #[test]
-    fn cell_parser_understands_every_formatter() {
-        assert_eq!(parse_cell("2.500s"), Some(2.5));
-        assert_eq!(parse_cell("4.218ms"), Some(4.218 * 1e-3));
-        assert_eq!(parse_cell("2.500us"), Some(2.5 * 1e-6));
-        assert_eq!(parse_cell("60.7%"), Some(60.7 * 0.01));
-        assert_eq!(parse_cell("1.17x"), Some(1.17));
-        assert_eq!(parse_cell("3.00GB"), Some(3.0 * 1024.0 * 1024.0 * 1024.0));
-        assert_eq!(parse_cell("1.5MB"), Some(1.5 * 1024.0 * 1024.0));
-        assert_eq!(parse_cell("2KB"), Some(2048.0));
-        assert_eq!(parse_cell("512B"), Some(512.0));
-        assert_eq!(parse_cell("42"), Some(42.0));
-        assert_eq!(parse_cell("gcn/products"), None);
-        assert_eq!(parse_cell("1.2ms / 3.4ms"), None);
-    }
-
-    #[test]
-    fn tiers_follow_the_header_convention() {
-        assert_eq!(tier("sim time"), Tier::Exact);
-        assert_eq!(tier("speedup"), Tier::Exact); // simulated ratio
-        assert_eq!(tier("wall epoch time"), Tier::Wall);
-        assert_eq!(tier("Wall speedup vs serial"), Tier::Wall);
-        assert_eq!(tier("sample busy/stall (wall)"), Tier::Informational);
+    fn only_wall_headers_are_skipped() {
+        assert!(!is_wall("sim time"));
+        assert!(!is_wall("speedup")); // simulated ratio
+        assert!(!is_wall("sample busy/stall")); // no `wall`: compared exactly
+        assert!(is_wall("wall epoch time"));
+        assert!(is_wall("Wall speedup vs serial"));
+        assert!(is_wall("sample busy/stall (wall)"));
     }
 
     #[test]
     fn identical_reports_pass_clean() {
         let b = doc("r", &[["a", "2.500ms", "1.000s"]]);
-        let s = run_diff(&b, &b.clone(), DiffOptions::default());
+        let s = run_diff(&b, &b.clone());
         assert!(!s.has_regressions());
         assert_eq!(s.exact_cells, 2); // "case" label + "sim time"
         assert_eq!(s.wall_cells_skipped, 1);
@@ -560,7 +415,7 @@ mod tests {
     fn exact_tier_flags_any_change_even_improvements() {
         let b = doc("r", &[["a", "2.500ms", "1.000s"]]);
         let c = doc("r", &[["a", "2.400ms", "1.000s"]]);
-        let s = run_diff(&b, &c, DiffOptions::default());
+        let s = run_diff(&b, &c);
         assert!(s.has_regressions());
         assert_eq!(s.findings.len(), 1);
         assert_eq!(s.findings[0].kind, FindingKind::Regression);
@@ -571,53 +426,27 @@ mod tests {
     }
 
     #[test]
-    fn wall_tier_is_noise_tolerant_and_direction_aware() {
+    fn wall_cells_are_skipped_whatever_they_hold() {
         let b = doc("r", &[["a", "2.500ms", "1.000s"]]);
-        let within = doc("r", &[["a", "2.500ms", "1.100s"]]);
-        let beyond = doc("r", &[["a", "2.500ms", "1.400s"]]);
-        let faster = doc("r", &[["a", "2.500ms", "0.500s"]]);
-        let opts = DiffOptions {
-            wall_tol: Some(0.25),
-        };
-        assert!(!run_diff(&b, &within, opts).has_regressions());
-        let s = run_diff(&b, &beyond, opts);
-        assert!(s.has_regressions());
-        assert!(s.findings[0].detail.contains("+40.0%"));
-        // Getting faster is never a wall regression.
-        assert!(!run_diff(&b, &faster, opts).has_regressions());
-        // Without a tolerance even a 40% slowdown is skipped.
-        assert!(!run_diff(&b, &beyond, DiffOptions::default()).has_regressions());
-    }
-
-    #[test]
-    fn wall_speedup_columns_invert_the_direction() {
-        let mk = |v: &str| ReportDoc {
-            tables: vec![TableDoc {
-                title: "T".into(),
-                headers: vec!["case".into(), "wall speedup vs serial".into()],
-                rows: vec![vec!["a".into(), v.into()]],
-            }],
-            ..doc("r", &[])
-        };
-        let opts = DiffOptions {
-            wall_tol: Some(0.2),
-        };
-        // Speedup shrinking past the tolerance regresses...
-        assert!(run_diff(&mk("2.00x"), &mk("1.40x"), opts).has_regressions());
-        // ...growing does not.
-        assert!(!run_diff(&mk("2.00x"), &mk("3.00x"), opts).has_regressions());
+        let slower = doc("r", &[["a", "2.500ms", "9.000s"]]);
+        let garbage = doc("r", &[["a", "2.500ms", "n/a"]]);
+        for c in [&slower, &garbage] {
+            let s = run_diff(&b, c);
+            assert!(!s.has_regressions());
+            assert_eq!((s.exact_cells, s.wall_cells_skipped), (2, 1));
+        }
     }
 
     #[test]
     fn structural_changes_are_regressions() {
         let b = doc("r", &[["a", "1ms", "1s"], ["b", "2ms", "2s"]]);
         let fewer_rows = doc("r", &[["a", "1ms", "1s"]]);
-        let s = run_diff(&b, &fewer_rows, DiffOptions::default());
+        let s = run_diff(&b, &fewer_rows);
         assert!(s.has_regressions());
         assert_eq!(s.findings[0].kind, FindingKind::Structural);
         let mut renamed = b.clone();
         renamed.tables[0].headers[1] = "other".into();
-        assert!(run_diff(&b, &renamed, DiffOptions::default()).has_regressions());
+        assert!(run_diff(&b, &renamed).has_regressions());
     }
 
     #[test]
@@ -626,14 +455,14 @@ mod tests {
         let mut c = doc("r", &[["a", "999ms", "1s"]]); // would be a regression
         b.provenance = Some([("profile".to_string(), "default".to_string())].into());
         c.provenance = Some([("profile".to_string(), "quick".to_string())].into());
-        let s = run_diff(&b, &c, DiffOptions::default());
+        let s = run_diff(&b, &c);
         assert!(s.has_incompatible());
         assert!(!s.has_regressions(), "refused, so no value findings");
         assert_eq!(s.exact_cells, 0);
         assert!(s.to_markdown().contains("VERDICT: REFUSED"));
         // Same profile on both sides: diffed normally.
         c.provenance = b.provenance.clone();
-        let s = run_diff(&b, &c, DiffOptions::default());
+        let s = run_diff(&b, &c);
         assert!(s.has_regressions());
     }
 
@@ -642,7 +471,7 @@ mod tests {
         let mut b = doc("r", &[["a", "1ms", "1s"]]);
         let c = doc("r", &[["a", "2ms", "1s"]]);
         b.provenance = Some([("profile".to_string(), "default".to_string())].into());
-        assert!(run_diff(&b, &c, DiffOptions::default()).has_regressions());
+        assert!(run_diff(&b, &c).has_regressions());
     }
 
     #[test]
@@ -674,14 +503,14 @@ mod tests {
         std::fs::write(base.join("a.json"), report).unwrap();
         std::fs::write(cand.join("a.json"), report).unwrap();
         std::fs::write(base.join("b.json"), report.replace("\"a\"", "\"b\"")).unwrap();
-        let s = diff_dirs(&base, &cand, &DiffOptions::default()).unwrap();
+        let s = diff_dirs(&base, &cand).unwrap();
         assert_eq!(s.reports_compared, 2);
         assert!(s.has_regressions(), "b.json missing from candidate");
         assert_eq!(s.findings[0].candidate, "missing");
         // Empty baseline dir is an error, not a pass.
         let empty = std::env::temp_dir().join("fastgl_perfdiff_empty");
         std::fs::create_dir_all(&empty).unwrap();
-        assert!(diff_dirs(&empty, &cand, &DiffOptions::default()).is_err());
+        assert!(diff_dirs(&empty, &cand).is_err());
         let _ = std::fs::remove_dir_all(&base);
         let _ = std::fs::remove_dir_all(&cand);
         let _ = std::fs::remove_dir_all(&empty);

@@ -1,6 +1,7 @@
 //! Activations and row-wise softmax utilities.
 
 use crate::matrix::Matrix;
+use crate::parallel;
 
 /// ReLU, elementwise.
 pub fn relu(x: &Matrix) -> Matrix {
@@ -18,8 +19,22 @@ pub fn relu_backward(input: &Matrix, grad: &Matrix) -> Matrix {
         (grad.rows(), grad.cols()),
         "relu_backward shape mismatch"
     );
-    let mask = input.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-    mask.hadamard(grad)
+    let mut out = Matrix::zeros(grad.rows(), grad.cols());
+    parallel::par_row_chunks_mut(
+        out.as_mut_slice(),
+        1,
+        parallel::ELEMWISE_GRAIN,
+        |first, chunk| {
+            let x = &input.as_slice()[first..first + chunk.len()];
+            let g = &grad.as_slice()[first..first + chunk.len()];
+            for ((o, &x), &g) in chunk.iter_mut().zip(x).zip(g) {
+                // Multiply rather than select: a masked `-g` must give
+                // `-0.0` and a masked `inf` must give NaN.
+                *o = if x > 0.0 { 1.0 } else { 0.0 } * g;
+            }
+        },
+    );
+    out
 }
 
 /// Leaky ReLU with slope `alpha` for negative inputs (GAT uses 0.2).
@@ -106,6 +121,33 @@ mod tests {
         let x = Matrix::from_vec(1, 3, vec![-1.0, 2.0, 0.0]);
         let g = Matrix::from_vec(1, 3, vec![5.0, 5.0, 5.0]);
         assert_eq!(relu_backward(&x, &g).as_slice(), &[0.0, 5.0, 0.0]);
+    }
+
+    #[test]
+    fn relu_backward_matches_mask_times_grad_bit_for_bit() {
+        let specials = [
+            -0.0,
+            0.0,
+            1.5,
+            -2.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        // Every (x, g) pair of specials, repeated past the parallel grain
+        // so the chunked path runs too.
+        let pairs: Vec<(f32, f32)> = specials
+            .iter()
+            .flat_map(|&x| specials.iter().map(move |&g| (x, g)))
+            .cycle()
+            .take(2 * crate::parallel::ELEMWISE_GRAIN + 7)
+            .collect();
+        let n = pairs.len();
+        let x = Matrix::from_vec(1, n, pairs.iter().map(|p| p.0).collect());
+        let g = Matrix::from_vec(1, n, pairs.iter().map(|p| p.1).collect());
+        let reference = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 }).hadamard(&g);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&relu_backward(&x, &g)), bits(&reference));
     }
 
     #[test]

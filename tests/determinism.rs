@@ -85,7 +85,11 @@ fn cheap_experiments_reproduce_their_reports() {
         // exercised by `all_experiments` (still deterministic, just slow).
         if !matches!(
             id,
-            "tab03_memory_levels" | "tab04_match_degree" | "abl02_hash_load_factor"
+            "tab03_memory_levels"
+                | "tab04_match_degree"
+                | "abl01_reorder_window"
+                | "abl02_hash_load_factor"
+                | "BENCH_pipeline"
         ) {
             continue;
         }
