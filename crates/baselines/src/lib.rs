@@ -52,14 +52,6 @@ pub enum SystemKind {
 }
 
 impl SystemKind {
-    /// The systems Fig. 9 plots (PyG is reported as a factor in the text).
-    pub const FIGURE9: [SystemKind; 4] = [
-        SystemKind::Dgl,
-        SystemKind::GnnAdvisor,
-        SystemKind::GnnLab,
-        SystemKind::FastGl,
-    ];
-
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {

@@ -1,6 +1,6 @@
 //! The one entry point for the paper's experiments: runs every registered
-//! experiment in paper order, printing each report and writing all
-//! CSVs/JSON to `results/` (plus per-experiment telemetry under
+//! experiment in paper order, printing each report and writing its JSON
+//! to `results/` (plus per-experiment telemetry under
 //! `results/telemetry/` when `FASTGL_TELEMETRY=1`).
 //!
 //! Pass experiment IDs to run a subset (e.g. `all_experiments

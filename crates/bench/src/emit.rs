@@ -1,5 +1,5 @@
-//! Shared experiment finishing: print the report, persist it as CSV and
-//! JSON under `results/`, and — when telemetry is recording — drain the
+//! Shared experiment finishing: print the report, persist it as JSON
+//! under `results/`, and — when telemetry is recording — drain the
 //! run's spans/counters into `results/telemetry/` next to the data they
 //! explain.
 
@@ -28,7 +28,7 @@ pub fn telemetry_dir() -> PathBuf {
 }
 
 /// Prints the report, stamps it with the run's [`Provenance`], and writes
-/// `results/<id>_<i>.csv` plus `results/<id>.json`; then exports this
+/// `results/<id>.json`, which holds every cell; then exports this
 /// run's telemetry (if enabled) under
 /// `results/telemetry/<id>.{trace,telemetry}.json`. Write failures warn
 /// on stderr rather than aborting the run — the printed report is the
@@ -39,11 +39,7 @@ pub fn finish(report: &Report) {
     if stamped.provenance.is_none() {
         stamped.provenance = Some(Provenance::current());
     }
-    let results = results_dir();
-    if let Err(e) = stamped.write_csv(&results) {
-        eprintln!("warning: could not write CSVs for {}: {e}", report.id);
-    }
-    if let Err(e) = stamped.write_json(&results) {
+    if let Err(e) = stamped.write_json(&results_dir()) {
         eprintln!("warning: could not write JSON for {}: {e}", report.id);
     }
     export_telemetry(&report.id);
@@ -99,7 +95,11 @@ mod tests {
         let json = std::fs::read_to_string(dir.join("emit_test.json"))
             .expect("finish wrote into the overridden directory");
         assert!(json.contains("\"provenance\":{\"profile\":"));
-        assert!(dir.join("emit_test_0.csv").exists());
+        let csvs = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().path().extension() == Some("csv".as_ref()))
+            .count();
+        assert_eq!(csvs, 0, "the JSON report is the only table format");
         assert_eq!(results_dir(), Path::new(RESULTS_DIR).to_path_buf());
         let _ = std::fs::remove_dir_all(&dir);
     }

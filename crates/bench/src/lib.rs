@@ -2,10 +2,10 @@
 //! paper's evaluation section (§6).
 //!
 //! Each experiment lives in [`experiments`] as a function producing a
-//! [`report::Report`] (aligned text tables plus CSV series), registered by
-//! ID in [`experiments::all`]. The `all_experiments` binary is the one
-//! entry point: with no arguments it runs the full suite and writes
-//! `results/*.csv` and `results/*.json`; `all_experiments <id>…` (e.g.
+//! [`report::Report`] (aligned text tables), registered by ID in
+//! [`experiments::all`]. The `all_experiments` binary is the one entry
+//! point: with no arguments it runs the full suite and writes
+//! `results/<id>.json`; `all_experiments <id>…` (e.g.
 //! `all_experiments fig09_overall tab08_id_map`) runs a subset.
 //!
 //! # Scale

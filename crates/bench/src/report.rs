@@ -1,4 +1,4 @@
-//! Report rendering: aligned text tables plus CSV and JSON export.
+//! Report rendering: aligned text tables plus JSON export.
 
 use fastgl_telemetry::json::escape;
 use std::fmt::Write as _;
@@ -61,32 +61,6 @@ impl Table {
             json_str_array(&self.headers),
             rows.join(",")
         )
-    }
-
-    /// Renders the table as CSV.
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -208,23 +182,9 @@ impl Report {
         out
     }
 
-    /// Writes every table as `dir/<id>_<index>.csv`. Creates `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Returns any filesystem error encountered.
-    pub fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        for (i, table) in self.tables.iter().enumerate() {
-            let path = dir.join(format!("{}_{}.csv", self.id, i));
-            std::fs::write(path, table.to_csv())?;
-        }
-        Ok(())
-    }
-
     /// Renders the full report (id, description, notes, tables) as one
     /// JSON document, so downstream tooling gets a machine-readable view
-    /// of every figure/table without parsing CSV filenames.
+    /// of every figure/table.
     pub fn to_json(&self) -> String {
         let tables: Vec<String> = self.tables.iter().map(Table::to_json).collect();
         let provenance = match &self.provenance {
@@ -309,13 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_escapes_commas() {
-        let mut t = Table::new("x", &["a"]);
-        t.push_row(vec!["v,w".into()]);
-        assert!(t.to_csv().contains("\"v,w\""));
-    }
-
-    #[test]
     #[should_panic(expected = "cells for")]
     fn row_width_checked() {
         let mut t = Table::new("x", &["a", "b"]);
@@ -330,17 +283,6 @@ mod tests {
         let text = r.to_text();
         assert!(text.contains("fig00"));
         assert!(text.contains("note: expected"));
-    }
-
-    #[test]
-    fn csv_written_to_disk() {
-        let mut r = Report::new("t", "x");
-        r.tables.push(table());
-        let dir = std::env::temp_dir().join("fastgl_report_test");
-        r.write_csv(&dir).unwrap();
-        let content = std::fs::read_to_string(dir.join("t_0.csv")).unwrap();
-        assert!(content.starts_with("name,value"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

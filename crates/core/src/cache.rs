@@ -13,6 +13,7 @@
 //! traffic rather than a crash.
 
 use fastgl_graph::{Csr, NodeId};
+use fastgl_telemetry::names;
 
 /// Minimum load rows per worker in [`FeatureCache::partition`].
 ///
@@ -169,8 +170,8 @@ impl FeatureCache {
             hits += h;
             misses.extend(m);
         }
-        fastgl_telemetry::counter_add("cache.hits", hits);
-        fastgl_telemetry::counter_add("cache.misses", misses.len() as u64);
+        fastgl_telemetry::counter_add(names::CACHE_HITS, hits);
+        fastgl_telemetry::counter_add(names::CACHE_MISSES, misses.len() as u64);
         (hits, misses)
     }
 }

@@ -138,12 +138,6 @@ impl FastGlConfig {
         self
     }
 
-    /// Returns the config with a different hidden width.
-    pub fn with_hidden_dim(mut self, hidden_dim: usize) -> Self {
-        self.hidden_dim = hidden_dim;
-        self
-    }
-
     /// Returns the config with a different seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -319,14 +313,16 @@ mod tests {
 
     #[test]
     fn builders_chain() {
-        let c = FastGlConfig::default()
-            .with_batch_size(2000)
-            .with_model(ModelKind::Gat)
-            .with_gpus(4)
-            .with_cache_ratio(0.25)
-            .with_fanouts(vec![5, 10])
-            .with_hidden_dim(128)
-            .with_seed(9);
+        let c = FastGlConfig {
+            hidden_dim: 128,
+            ..Default::default()
+        }
+        .with_batch_size(2000)
+        .with_model(ModelKind::Gat)
+        .with_gpus(4)
+        .with_cache_ratio(0.25)
+        .with_fanouts(vec![5, 10])
+        .with_seed(9);
         c.validate().unwrap();
         assert_eq!(c.batch_size, 2000);
         assert_eq!(c.system.num_gpus, 4);
@@ -365,10 +361,12 @@ mod tests {
             .with_cache_ratio(1.5)
             .validate()
             .is_err());
-        assert!(FastGlConfig::default()
-            .with_hidden_dim(0)
-            .validate()
-            .is_err());
+        assert!(FastGlConfig {
+            hidden_dim: 0,
+            ..Default::default()
+        }
+        .validate()
+        .is_err());
         assert!(FastGlConfig::default().with_threads(0).validate().is_err());
         let c = FastGlConfig {
             reorder_window: 1,

@@ -139,16 +139,6 @@ impl StageWallStats {
     pub fn stall(&self) -> Duration {
         self.stall_in + self.stall_out
     }
-
-    /// Fraction of the stage's wall time that was useful work, in
-    /// `[0, 1]`; `1.0` for a stage that never ran.
-    pub fn utilization(&self) -> f64 {
-        let total = self.busy + self.stall();
-        if total.is_zero() {
-            return 1.0;
-        }
-        self.busy.as_secs_f64() / total.as_secs_f64()
-    }
 }
 
 /// Wall-clock accounting of one pipelined epoch.
@@ -249,27 +239,17 @@ fn timed_replayed<O>(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineExecutor {
     prefetch: usize,
-    channel_bound: usize,
     stage_retries: usize,
 }
 
 impl PipelineExecutor {
-    /// An executor with the given prefetch depth; the inter-stage channel
-    /// capacity defaults to `prefetch.max(1)` and no stage replays.
+    /// An executor with the given prefetch depth; the inter-stage channels
+    /// hold `prefetch.max(1)` windows and no stage replays.
     pub fn new(prefetch: usize) -> Self {
         Self {
             prefetch,
-            channel_bound: prefetch.max(1),
             stage_retries: 0,
         }
-    }
-
-    /// Overrides the inter-stage channel capacity (≥ 1). Smaller bounds
-    /// increase backpressure without changing any result.
-    pub fn with_channel_bound(mut self, bound: usize) -> Self {
-        assert!(bound >= 1, "channel bound must be at least 1");
-        self.channel_bound = bound;
-        self
     }
 
     /// Allows the `sample` worker stage to be replayed up to `retries`
@@ -322,7 +302,7 @@ impl PipelineExecutor {
         );
         let mut stats = PipelineWallStats {
             prefetch: self.prefetch,
-            channel_bound: self.channel_bound,
+            channel_bound: self.prefetch.max(1),
             ..Default::default()
         };
         let retries = self.stage_retries;
@@ -346,7 +326,7 @@ impl PipelineExecutor {
             return stats;
         }
 
-        let bound = self.channel_bound;
+        let bound = stats.channel_bound;
         let (mut sample_st, mut prepare_st) =
             (StageWallStats::default(), StageWallStats::default());
         std::thread::scope(|scope| {
@@ -455,14 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_bound_one_backpressure_is_lossless() {
-        let (seen, stats) = run_chain(PipelineExecutor::new(4).with_channel_bound(1), 50);
-        assert_eq!(seen, expected(50));
-        assert_eq!(stats.channel_bound, 1);
-        assert_eq!(stats.execute.items, 50);
-    }
-
-    #[test]
     fn zero_windows_is_a_noop() {
         for depth in [0usize, 2] {
             let (seen, stats) = run_chain(PipelineExecutor::new(depth), 0);
@@ -531,9 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn utilization_bounds() {
-        let st = StageWallStats::default();
-        assert_eq!(st.utilization(), 1.0);
+    fn stall_sums_starved_and_backpressured_time() {
         let st = StageWallStats {
             busy: Duration::from_millis(3),
             stall_in: Duration::from_millis(1),
@@ -541,13 +511,12 @@ mod tests {
             items: 1,
             replays: 0,
         };
-        assert!((st.utilization() - 0.75).abs() < 1e-9);
+        assert_eq!(st.stall(), Duration::from_millis(1));
         let st = StageWallStats {
             stall_out: Duration::from_millis(2),
             ..st
         };
         assert_eq!(st.stall(), Duration::from_millis(3));
-        assert!((st.utilization() - 0.5).abs() < 1e-9);
     }
 
     /// A sample closure that panics the first `failures` times it sees
@@ -615,11 +584,5 @@ mod tests {
             assert_eq!(seeds, plan.batch(i));
             assert_eq!(rng, base.derive(i as u64));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_channel_bound_rejected() {
-        let _ = PipelineExecutor::new(1).with_channel_bound(0);
     }
 }

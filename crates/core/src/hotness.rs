@@ -60,19 +60,6 @@ impl HotnessCounter {
         nodes.sort_by_key(|&n| (std::cmp::Reverse(self.counts[n as usize]), n));
         nodes.into_iter().map(NodeId).collect()
     }
-
-    /// The fraction of all recorded appearances covered by caching the
-    /// `rows` hottest nodes — GNNLab's expected cache hit rate.
-    pub fn expected_hit_rate(&self, rows: u64) -> f64 {
-        let total: u64 = self.counts.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let mut sorted: Vec<u64> = self.counts.clone();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        let covered: u64 = sorted.iter().take(rows as usize).sum();
-        covered as f64 / total as f64
-    }
 }
 
 /// How a static feature cache picks its residents.
@@ -163,20 +150,6 @@ mod tests {
         let hot = avg_deg(&ranking[..200]);
         let cold = avg_deg(&ranking[1_800..]);
         assert!(hot > 3.0 * cold, "hot {hot} cold {cold}");
-    }
-
-    #[test]
-    fn expected_hit_rate_monotone_and_bounded() {
-        let g = rmat::generate(&RmatConfig::social(500, 4_000), 4);
-        let mut c = HotnessCounter::new(g.num_nodes());
-        probe(&mut c, &g, 0);
-        let r100 = c.expected_hit_rate(100);
-        let r300 = c.expected_hit_rate(300);
-        let rall = c.expected_hit_rate(500);
-        assert!(r100 <= r300 && r300 <= rall);
-        assert!((0.0..=1.0).contains(&r100));
-        assert!((rall - 1.0).abs() < 1e-12);
-        assert_eq!(HotnessCounter::new(10).expected_hit_rate(5), 0.0);
     }
 
     #[test]

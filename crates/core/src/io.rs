@@ -8,6 +8,7 @@
 use fastgl_gpusim::{
     FaultedTransfer, PcieEngine, RetryCostModel, SimTime, SystemSpec, TransferFault,
 };
+use fastgl_telemetry::names;
 
 /// Prices feature loads for one GPU of a possibly multi-GPU system.
 #[derive(Debug, Clone)]
@@ -36,13 +37,8 @@ impl IoEngine {
     /// Time to load `rows` feature rows of `row_bytes` each: contended host
     /// gather plus the PCIe copy. Zero rows cost nothing.
     pub fn load_rows(&mut self, rows: u64, row_bytes: u64) -> SimTime {
-        if rows == 0 {
-            return SimTime::ZERO;
-        }
-        let bytes = rows * row_bytes;
-        fastgl_telemetry::counter_add("io.rows_loaded", rows);
-        fastgl_telemetry::counter_add("io.bytes_h2d", bytes);
-        self.pcie.host_gather_time(bytes) * self.gather_contention + self.pcie.h2d(bytes)
+        self.load_rows_faulted(rows, row_bytes, None, &RetryCostModel::default())
+            .time
     }
 
     /// Like [`load_rows`](Self::load_rows), but the PCIe copy may carry an
@@ -63,8 +59,8 @@ impl IoEngine {
             return FaultedTransfer::default();
         }
         let bytes = rows * row_bytes;
-        fastgl_telemetry::counter_add("io.rows_loaded", rows);
-        fastgl_telemetry::counter_add("io.bytes_h2d", bytes);
+        fastgl_telemetry::counter_add(names::IO_ROWS_LOADED, rows);
+        fastgl_telemetry::counter_add(names::IO_BYTES_H2D, bytes);
         let gather = self.pcie.host_gather_time(bytes) * self.gather_contention;
         let mut out = self.pcie.h2d_with_fault(bytes, fault, model);
         out.time += gather;
@@ -74,11 +70,6 @@ impl IoEngine {
     /// Feature bytes moved host→device so far.
     pub fn bytes_h2d(&self) -> u64 {
         self.pcie.h2d_total()
-    }
-
-    /// Resets the byte ledger.
-    pub fn reset(&mut self) {
-        self.pcie.reset();
     }
 }
 

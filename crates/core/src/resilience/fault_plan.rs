@@ -346,11 +346,6 @@ impl FaultPlan {
     pub fn specs(&self) -> &[FaultSpec] {
         &self.specs
     }
-
-    /// Whether the plan contains a [`FaultKind::WorkerPanic`] entry.
-    pub fn has_worker_panics(&self) -> bool {
-        self.specs.iter().any(|s| s.kind == FaultKind::WorkerPanic)
-    }
 }
 
 impl std::fmt::Display for FaultPlan {
@@ -456,7 +451,6 @@ mod tests {
         let plan =
             FaultPlan::parse("pcie_stall@batch=7,oom@epoch=1,worker_panic@window=3").unwrap();
         assert_eq!(plan.specs().len(), 3);
-        assert!(plan.has_worker_panics());
         assert_eq!(
             plan.to_string(),
             "pcie_stall@batch=7,oom@epoch=1,worker_panic@window=3"

@@ -46,17 +46,6 @@ impl EpochStats {
         self.breakdown.total()
     }
 
-    /// Fraction of needed feature rows that crossed PCIe (lower is better;
-    /// Match and caching both reduce it).
-    pub fn load_fraction(&self) -> f64 {
-        let needed = self.rows_loaded + self.rows_reused + self.rows_cached;
-        if needed == 0 {
-            0.0
-        } else {
-            self.rows_loaded as f64 / needed as f64
-        }
-    }
-
     /// Averages per-epoch statistics the way the paper reports multi-epoch
     /// numbers (peak memory takes the max, everything else the mean).
     ///
@@ -166,17 +155,5 @@ mod tests {
         assert_eq!(avg.breakdown.sample, SimTime::from_millis(10));
         assert_eq!(avg.bytes_h2d, 100);
         assert_eq!(avg.peak_memory_bytes, 1003, "peak takes the max");
-    }
-
-    #[test]
-    fn load_fraction_accounts_reuse_and_cache() {
-        let s = EpochStats {
-            rows_loaded: 50,
-            rows_reused: 25,
-            rows_cached: 25,
-            ..Default::default()
-        };
-        assert!((s.load_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(EpochStats::default().load_fraction(), 0.0);
     }
 }

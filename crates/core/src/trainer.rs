@@ -17,6 +17,7 @@ use crate::resilience::{Checkpoint, CheckpointError, TrainerState};
 use fastgl_gnn::{GnnModel, ModelConfig, ModelKind};
 use fastgl_graph::{Csr, DeterministicRng, FeatureStore, NodeId};
 use fastgl_sample::{FusedIdMap, MinibatchPlan, NeighborSampler, SampledSubgraph};
+use fastgl_telemetry::names;
 use fastgl_tensor::{Adam, Matrix};
 
 /// Configuration of a convergence run.
@@ -309,7 +310,7 @@ pub fn train_resumable(
                     let sg = &subgraphs[idx];
                     let _iter_span = fastgl_telemetry::span("trainer.iteration")
                         .with_u64("nodes", sg.num_nodes());
-                    fastgl_telemetry::observe("trainer.batch_nodes", sg.num_nodes());
+                    fastgl_telemetry::observe(names::TRAINER_BATCH_NODES, sg.num_nodes());
                     let x = gather(sg);
                     let batch_labels = seed_labels(sg);
                     opt.next_iteration();
@@ -395,46 +396,6 @@ pub fn train_resumable(
     }))
 }
 
-/// Exact (non-sampled) full-graph accuracy of a trained model: runs the
-/// forward pass over every node's complete neighbourhood and scores the
-/// predictions of `nodes` — the standard inference step after sampled
-/// training (sampling is a training-time approximation only).
-///
-/// # Panics
-///
-/// Panics if `features` is not materialized or `labels` does not cover the
-/// graph.
-pub fn full_graph_accuracy(
-    model: &mut GnnModel,
-    graph: &Csr,
-    features: &FeatureStore,
-    labels: &[u32],
-    nodes: &[NodeId],
-) -> f64 {
-    let feats = features
-        .as_slice()
-        .expect("full-graph inference needs materialized features");
-    assert_eq!(labels.len() as u64, graph.num_nodes(), "one label per node");
-    let sg = fastgl_sample::full_graph_blocks(graph, model.num_layers());
-    let dim = features.dim();
-    let x = Matrix::from_vec(graph.num_nodes() as usize, dim, feats.to_vec());
-    let logits = model.forward(&sg, &x);
-    let mut correct = 0usize;
-    for &node in nodes {
-        let row = logits.row(node.index());
-        let mut best = 0usize;
-        for (c, &v) in row.iter().enumerate() {
-            if v > row[best] {
-                best = c;
-            }
-        }
-        if best == labels[node.index()] as usize {
-            correct += 1;
-        }
-    }
-    correct as f64 / nodes.len().max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,31 +461,6 @@ mod tests {
             (a - b).abs() < 0.15 * a.max(b),
             "converged losses diverge: {a} vs {b}"
         );
-    }
-
-    #[test]
-    fn full_graph_inference_matches_sampled_training_quality() {
-        let d = data();
-        let train_nodes = nodes(600);
-        let cfg = quick_config();
-        let run = train(&d.graph, &d.features, &d.labels, &train_nodes, &cfg);
-        assert!(run.final_accuracy > 0.5);
-        // Rebuild the trained model via the same deterministic path, then
-        // score it exactly over the full graph on held-out nodes.
-        let num_classes = d.labels.iter().copied().max().unwrap() as usize + 1;
-        let model_cfg = fastgl_gnn::ModelConfig::paper(cfg.model, d.features.dim(), num_classes)
-            .with_layers(cfg.fanouts.len())
-            .with_hidden(cfg.hidden_dim);
-        let mut init_rng = DeterministicRng::seed(cfg.seed ^ 0x1217);
-        let mut fresh = GnnModel::new(&model_cfg, &mut init_rng);
-        // Untrained full-graph accuracy is near chance...
-        let held_out: Vec<NodeId> = (900..1_200).map(NodeId).collect();
-        let untrained =
-            full_graph_accuracy(&mut fresh, &d.graph, &d.features, &d.labels, &held_out);
-        assert!(untrained < 0.6, "untrained accuracy {untrained}");
-        // ...and training the same model raises it far above chance.
-        let rerun = train(&d.graph, &d.features, &d.labels, &train_nodes, &cfg);
-        assert!(rerun.final_accuracy > untrained);
     }
 
     #[test]

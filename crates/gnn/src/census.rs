@@ -25,20 +25,6 @@ pub struct LayerWorkload {
     pub d_out: usize,
 }
 
-impl LayerWorkload {
-    /// FLOPs of the dense update stage (`num_dst × d_in × d_out` GEMM;
-    /// the update runs after aggregation, over destination rows).
-    pub fn update_flops(&self) -> u64 {
-        2 * self.num_dst * self.d_in as u64 * self.d_out as u64
-    }
-
-    /// FLOPs of the aggregation stage (one FMA per edge per input dim;
-    /// Eq. 1 aggregates the raw features).
-    pub fn aggregate_flops(&self) -> u64 {
-        2 * self.nnz * self.d_in as u64
-    }
-}
-
 /// Derives per-layer workloads for a model with `dims` layer dimensions
 /// executed over `subgraph`.
 ///
@@ -97,19 +83,6 @@ mod tests {
         assert_eq!(w[1].num_dst, 8);
         assert_eq!(w[0].d_in, 32);
         assert_eq!(w[1].d_out, 4);
-    }
-
-    #[test]
-    fn flop_formulas() {
-        let w = LayerWorkload {
-            num_dst: 10,
-            num_src_rows: 100,
-            nnz: 50,
-            d_in: 8,
-            d_out: 4,
-        };
-        assert_eq!(w.update_flops(), 2 * 10 * 8 * 4);
-        assert_eq!(w.aggregate_flops(), 2 * 50 * 8);
     }
 
     #[test]

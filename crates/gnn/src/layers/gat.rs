@@ -8,7 +8,7 @@ use super::{activate, activate_backward, GnnLayer};
 use fastgl_sample::Block;
 use fastgl_tensor::init::xavier_uniform;
 use fastgl_tensor::ops::softmax_slice;
-use fastgl_tensor::{Matrix, Optimizer};
+use fastgl_tensor::Matrix;
 use rand::RngCore;
 
 const LEAKY_SLOPE: f32 = 0.2;
@@ -220,28 +220,6 @@ impl GnnLayer for GatLayer {
         input_grad.then(|| d_z.matmul_transpose_b(weight))
     }
 
-    fn apply_grads(&mut self, opt: &mut dyn Optimizer, slot_base: usize) -> usize {
-        opt.step(
-            slot_base,
-            self.weight.as_mut_slice(),
-            self.grad_weight.as_slice(),
-        );
-        opt.step(
-            slot_base + 1,
-            self.attn_l.as_mut_slice(),
-            self.grad_attn_l.as_slice(),
-        );
-        opt.step(
-            slot_base + 2,
-            self.attn_r.as_mut_slice(),
-            self.grad_attn_r.as_slice(),
-        );
-        self.grad_weight.scale(0.0);
-        self.grad_attn_l.scale(0.0);
-        self.grad_attn_r.scale(0.0);
-        3
-    }
-
     fn input_dim(&self) -> usize {
         self.weight.rows()
     }
@@ -254,12 +232,12 @@ impl GnnLayer for GatLayer {
         vec![&self.weight, &self.attn_l, &self.attn_r]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        vec![&mut self.weight, &mut self.attn_l, &mut self.attn_r]
-    }
-
-    fn param_count(&self) -> usize {
-        self.weight.rows() * self.weight.cols() + 2 * self.heads * self.head_dim
+    fn params_and_grads(&mut self) -> Vec<(&mut Matrix, &mut Matrix)> {
+        vec![
+            (&mut self.weight, &mut self.grad_weight),
+            (&mut self.attn_l, &mut self.grad_attn_l),
+            (&mut self.attn_r, &mut self.grad_attn_r),
+        ]
     }
 }
 

@@ -8,7 +8,7 @@ use super::{activate, activate_backward, add_bias, column_sums, GnnLayer};
 use crate::aggregate::{mean_aggregate, mean_aggregate_backward};
 use fastgl_sample::Block;
 use fastgl_tensor::init::{xavier_uniform, zeros_bias};
-use fastgl_tensor::{Matrix, Optimizer};
+use fastgl_tensor::Matrix;
 use rand::RngCore;
 
 /// One GCN layer.
@@ -74,22 +74,6 @@ impl GnnLayer for GcnLayer {
         Some(mean_aggregate_backward(block, &d_agg, self.input_rows))
     }
 
-    fn apply_grads(&mut self, opt: &mut dyn Optimizer, slot_base: usize) -> usize {
-        opt.step(
-            slot_base,
-            self.weight.as_mut_slice(),
-            self.grad_weight.as_slice(),
-        );
-        opt.step(
-            slot_base + 1,
-            self.bias.as_mut_slice(),
-            self.grad_bias.as_slice(),
-        );
-        self.grad_weight.scale(0.0);
-        self.grad_bias.scale(0.0);
-        2
-    }
-
     fn input_dim(&self) -> usize {
         self.weight.rows()
     }
@@ -102,12 +86,11 @@ impl GnnLayer for GcnLayer {
         vec![&self.weight, &self.bias]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn param_count(&self) -> usize {
-        self.weight.rows() * self.weight.cols() + self.bias.cols()
+    fn params_and_grads(&mut self) -> Vec<(&mut Matrix, &mut Matrix)> {
+        vec![
+            (&mut self.weight, &mut self.grad_weight),
+            (&mut self.bias, &mut self.grad_bias),
+        ]
     }
 }
 

@@ -9,7 +9,7 @@ use crate::aggregate::{sum_aggregate, sum_aggregate_backward};
 use fastgl_sample::Block;
 use fastgl_tensor::init::{xavier_uniform, zeros_bias};
 use fastgl_tensor::ops::{relu, relu_backward};
-use fastgl_tensor::{Matrix, Optimizer};
+use fastgl_tensor::Matrix;
 use rand::RngCore;
 
 /// One GIN layer with a 2-layer MLP update.
@@ -112,30 +112,6 @@ impl GnnLayer for GinLayer {
         Some(d_input)
     }
 
-    fn apply_grads(&mut self, opt: &mut dyn Optimizer, slot_base: usize) -> usize {
-        opt.step(slot_base, self.w1.as_mut_slice(), self.grad_w1.as_slice());
-        opt.step(
-            slot_base + 1,
-            self.b1.as_mut_slice(),
-            self.grad_b1.as_slice(),
-        );
-        opt.step(
-            slot_base + 2,
-            self.w2.as_mut_slice(),
-            self.grad_w2.as_slice(),
-        );
-        opt.step(
-            slot_base + 3,
-            self.b2.as_mut_slice(),
-            self.grad_b2.as_slice(),
-        );
-        self.grad_w1.scale(0.0);
-        self.grad_b1.scale(0.0);
-        self.grad_w2.scale(0.0);
-        self.grad_b2.scale(0.0);
-        4
-    }
-
     fn input_dim(&self) -> usize {
         self.w1.rows()
     }
@@ -148,15 +124,13 @@ impl GnnLayer for GinLayer {
         vec![&self.w1, &self.b1, &self.w2, &self.b2]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        vec![&mut self.w1, &mut self.b1, &mut self.w2, &mut self.b2]
-    }
-
-    fn param_count(&self) -> usize {
-        self.w1.rows() * self.w1.cols()
-            + self.b1.cols()
-            + self.w2.rows() * self.w2.cols()
-            + self.b2.cols()
+    fn params_and_grads(&mut self) -> Vec<(&mut Matrix, &mut Matrix)> {
+        vec![
+            (&mut self.w1, &mut self.grad_w1),
+            (&mut self.b1, &mut self.grad_b1),
+            (&mut self.w2, &mut self.grad_w2),
+            (&mut self.b2, &mut self.grad_b2),
+        ]
     }
 }
 

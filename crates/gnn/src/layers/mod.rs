@@ -19,9 +19,9 @@ use std::borrow::Cow;
 /// internally; it computes the gradient with respect to the layer input
 /// only when the caller asks for it, which a model never does for its
 /// first layer (that input is the gathered feature matrix, not a
-/// parameter). `apply_grads` consumes the accumulated gradients via an
-/// optimiser and returns how many optimiser slots the layer used (so a
-/// model can hand each layer a disjoint slot range).
+/// parameter). A layer names its parameters once, in
+/// [`params_and_grads`](Self::params_and_grads); `params`, `param_count`
+/// and `apply_grads` follow that list.
 pub trait GnnLayer {
     /// Computes the layer output over the block's destination nodes from
     /// `input`, whose rows cover the block's source ID space.
@@ -33,23 +33,36 @@ pub trait GnnLayer {
     /// parameter gradients are the same either way.
     fn backward(&mut self, block: &Block, grad_out: &Matrix, input_grad: bool) -> Option<Matrix>;
 
-    /// Applies and clears accumulated parameter gradients.
-    fn apply_grads(&mut self, opt: &mut dyn Optimizer, slot_base: usize) -> usize;
-
     /// Input feature dimensionality.
     fn input_dim(&self) -> usize;
 
     /// Output feature dimensionality.
     fn output_dim(&self) -> usize;
 
-    /// Total number of scalar parameters.
-    fn param_count(&self) -> usize;
-
     /// The layer's parameter matrices, in a stable order.
     fn params(&self) -> Vec<&Matrix>;
 
-    /// Mutable access to the same matrices, in the same order.
-    fn params_mut(&mut self) -> Vec<&mut Matrix>;
+    /// Each parameter matrix paired with its accumulated gradient, in the
+    /// order of [`params`](Self::params).
+    fn params_and_grads(&mut self) -> Vec<(&mut Matrix, &mut Matrix)>;
+
+    /// Total number of scalar parameters.
+    fn param_count(&self) -> usize {
+        self.params().iter().map(|p| p.as_slice().len()).sum()
+    }
+
+    /// Steps parameter `i` through `opt` under slot `slot_base + i`, then
+    /// clears its gradient. Returns how many slots the layer used, so a
+    /// model can hand each layer a disjoint slot range.
+    fn apply_grads(&mut self, opt: &mut dyn Optimizer, slot_base: usize) -> usize {
+        let pairs = self.params_and_grads();
+        let slots = pairs.len();
+        for (i, (param, grad)) in pairs.into_iter().enumerate() {
+            opt.step(slot_base + i, param.as_mut_slice(), grad.as_slice());
+            grad.scale(0.0);
+        }
+        slots
+    }
 }
 
 /// Applies a layer's optional ReLU to `z`. Only an activated layer's

@@ -9,7 +9,7 @@ use super::{activate, activate_backward, add_bias, column_sums, GnnLayer};
 use crate::aggregate::{mean_aggregate, mean_aggregate_backward};
 use fastgl_sample::Block;
 use fastgl_tensor::init::{xavier_uniform, zeros_bias};
-use fastgl_tensor::{Matrix, Optimizer};
+use fastgl_tensor::Matrix;
 use rand::RngCore;
 
 /// One GraphSAGE-mean layer.
@@ -92,28 +92,6 @@ impl GnnLayer for SageLayer {
         Some(d_input)
     }
 
-    fn apply_grads(&mut self, opt: &mut dyn Optimizer, slot_base: usize) -> usize {
-        opt.step(
-            slot_base,
-            self.w_self.as_mut_slice(),
-            self.grad_w_self.as_slice(),
-        );
-        opt.step(
-            slot_base + 1,
-            self.w_neigh.as_mut_slice(),
-            self.grad_w_neigh.as_slice(),
-        );
-        opt.step(
-            slot_base + 2,
-            self.bias.as_mut_slice(),
-            self.grad_bias.as_slice(),
-        );
-        self.grad_w_self.scale(0.0);
-        self.grad_w_neigh.scale(0.0);
-        self.grad_bias.scale(0.0);
-        3
-    }
-
     fn input_dim(&self) -> usize {
         self.w_self.rows()
     }
@@ -126,12 +104,12 @@ impl GnnLayer for SageLayer {
         vec![&self.w_self, &self.w_neigh, &self.bias]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        vec![&mut self.w_self, &mut self.w_neigh, &mut self.bias]
-    }
-
-    fn param_count(&self) -> usize {
-        2 * self.w_self.rows() * self.w_self.cols() + self.bias.cols()
+    fn params_and_grads(&mut self) -> Vec<(&mut Matrix, &mut Matrix)> {
+        vec![
+            (&mut self.w_self, &mut self.grad_w_self),
+            (&mut self.w_neigh, &mut self.grad_w_neigh),
+            (&mut self.bias, &mut self.grad_bias),
+        ]
     }
 }
 

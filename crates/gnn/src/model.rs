@@ -330,7 +330,7 @@ impl GnnModel {
         }
         let mut cursor = 0;
         for layer in &mut self.layers {
-            for p in layer.params_mut() {
+            for (p, _) in layer.params_and_grads() {
                 let n = p.as_slice().len();
                 p.as_mut_slice().copy_from_slice(&state[cursor..cursor + n]);
                 cursor += n;

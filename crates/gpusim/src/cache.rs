@@ -128,23 +128,6 @@ impl Cache {
         }
     }
 
-    /// Accesses a contiguous byte range, one access per touched line.
-    /// Returns the number of lines that hit.
-    pub fn access_range(&mut self, addr: u64, bytes: u64) -> u64 {
-        if bytes == 0 {
-            return 0;
-        }
-        let first = addr / self.config.line_bytes;
-        let last = (addr + bytes - 1) / self.config.line_bytes;
-        let mut hits = 0;
-        for line in first..=last {
-            if self.access(line * self.config.line_bytes) {
-                hits += 1;
-            }
-        }
-        hits
-    }
-
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -230,17 +213,6 @@ mod tests {
             c.access(addr);
         }
         assert_eq!(c.stats().hits, 0);
-    }
-
-    #[test]
-    fn access_range_counts_lines() {
-        let mut c = tiny();
-        let hits = c.access_range(0, 200); // lines 0..=3 -> 4 accesses
-        assert_eq!(hits, 0);
-        assert_eq!(c.stats().accesses(), 4);
-        let hits = c.access_range(0, 64);
-        assert_eq!(hits, 1);
-        assert_eq!(c.access_range(0, 0), 0);
     }
 
     #[test]

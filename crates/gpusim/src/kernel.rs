@@ -150,36 +150,6 @@ impl Add for KernelCost {
     }
 }
 
-/// SM occupancy of a kernel configuration: the fraction of the SM's
-/// maximum resident threads that a grid of `threads_per_block`-sized
-/// blocks using `shared_bytes_per_block` of shared memory can keep in
-/// flight. The paper's §4.2 chooses X = 8, Y = 32 precisely to "keep the
-/// maximum occupancy of the SM".
-///
-/// Returns a value in `(0, 1]`; zero only for degenerate inputs.
-pub fn sm_occupancy(
-    device: &DeviceSpec,
-    threads_per_block: u32,
-    shared_bytes_per_block: u64,
-) -> f64 {
-    if threads_per_block == 0 || threads_per_block > device.max_threads_per_block {
-        return 0.0;
-    }
-    // Ampere-class limits: 1536 resident threads and 16 resident blocks
-    // per SM; shared memory bounds resident blocks too.
-    const MAX_RESIDENT_THREADS: u32 = 1536;
-    const MAX_RESIDENT_BLOCKS: u32 = 16;
-    let by_threads = MAX_RESIDENT_THREADS / threads_per_block;
-    let by_shared = device
-        .l1_bytes_per_sm
-        .checked_div(shared_bytes_per_block)
-        .map_or(MAX_RESIDENT_BLOCKS, |b| {
-            b.min(MAX_RESIDENT_BLOCKS as u64) as u32
-        });
-    let resident_blocks = by_threads.min(by_shared).min(MAX_RESIDENT_BLOCKS);
-    (resident_blocks * threads_per_block) as f64 / MAX_RESIDENT_THREADS as f64
-}
-
 /// Cost of a dense GEMM of `m × k × n` (the *update* phase of a GNN layer)
 /// at the device's calibrated GEMM efficiency.
 pub fn gemm_time(device: &DeviceSpec, params: &CostParams, m: u64, k: u64, n: u64) -> SimTime {
@@ -294,31 +264,6 @@ mod tests {
         let achieved = c.achieved_flops(p.flops);
         assert!(achieved < dev().peak_flops);
         assert!(achieved > 0.0);
-    }
-
-    #[test]
-    fn paper_tiling_keeps_high_occupancy() {
-        // X = 8 targets x Y = 32 dims = 256 threads; shared usage
-        // 4XY + 4X|N| with |N| = 15 is ~1.5 KB per block.
-        let d = dev();
-        let shared = 4 * 8 * 32 + 4 * 8 * 15;
-        let occ = sm_occupancy(&d, 256, shared as u64);
-        assert!(occ >= 0.99, "paper tiling occupancy {occ}");
-        // A shared-memory hog cannot keep the SM full.
-        let hog = sm_occupancy(&d, 256, 64 * 1024);
-        assert!(hog < 0.5, "hog occupancy {hog}");
-        // Degenerate configs report zero.
-        assert_eq!(sm_occupancy(&d, 0, 0), 0.0);
-        assert_eq!(sm_occupancy(&d, 2048, 0), 0.0);
-    }
-
-    #[test]
-    fn occupancy_monotone_in_shared_usage() {
-        let d = dev();
-        let a = sm_occupancy(&d, 128, 1 << 10);
-        let b = sm_occupancy(&d, 128, 1 << 14);
-        let c = sm_occupancy(&d, 128, 1 << 16);
-        assert!(a >= b && b >= c, "{a} {b} {c}");
     }
 
     #[test]

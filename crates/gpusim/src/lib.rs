@@ -13,7 +13,6 @@
 //!   phases the paper's breakdowns report.
 //! * [`cache`] — a set-associative LRU cache simulator used to obtain the
 //!   L1/L2 hit rates of the aggregation phase (Table 2).
-//! * [`memory`] — device global-memory accounting (Tables 1 and 9).
 //! * [`transfer`] — the PCIe transfer engine (the memory IO phase).
 //! * [`fault`] — simulated transfer faults (stalls, retryable errors) and
 //!   the deterministic retry cost model that prices their recovery.
@@ -32,7 +31,6 @@ pub mod aggregate;
 pub mod cache;
 pub mod fault;
 pub mod kernel;
-pub mod memory;
 pub mod overlap;
 pub mod roofline;
 pub mod spec;
@@ -43,7 +41,6 @@ pub use aggregate::{AggregationCost, AggregationKernel, SubgraphLayerTrace};
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use fault::{FaultedTransfer, RetryCostModel, TransferFault};
 pub use kernel::{KernelCost, KernelProfile};
-pub use memory::{DeviceMemory, MemoryError};
 pub use roofline::RooflinePoint;
 pub use spec::{CostParams, DeviceSpec, HostSpec, SystemSpec};
 pub use timeline::{PhaseBreakdown, SimTime};

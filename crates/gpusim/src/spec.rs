@@ -30,8 +30,6 @@ pub struct DeviceSpec {
     pub peak_flops: f64,
     /// Cache line size in bytes.
     pub line_bytes: u64,
-    /// Maximum threads per thread block (1024 on current hardware).
-    pub max_threads_per_block: u32,
 }
 
 impl DeviceSpec {
@@ -48,7 +46,6 @@ impl DeviceSpec {
             bw_global: 938.0e9,
             peak_flops: 29.15e12,
             line_bytes: 128,
-            max_threads_per_block: 1024,
         }
     }
 }
@@ -67,7 +64,6 @@ impl DeviceSpec {
             bw_global: 2_039.0e9,
             peak_flops: 19.5e12,
             line_bytes: 128,
-            max_threads_per_block: 1024,
         }
     }
 
@@ -84,7 +80,6 @@ impl DeviceSpec {
             bw_global: 3_350.0e9,
             peak_flops: 66.9e12,
             line_bytes: 128,
-            max_threads_per_block: 1024,
         }
     }
 }
@@ -230,11 +225,6 @@ impl SystemSpec {
             num_gpus,
         }
     }
-
-    /// Effective PCIe bandwidth after the efficiency factor.
-    pub fn effective_pcie_bw(&self) -> f64 {
-        self.host.pcie_bw * self.host.pcie_efficiency
-    }
 }
 
 impl Default for SystemSpec {
@@ -279,13 +269,6 @@ mod tests {
         assert!(a100.l2_bytes > 6 * consumer.l2_bytes);
         // FP32 peak is where the 3090 keeps up (no tensor cores modelled).
         assert!(a100.peak_flops < consumer.peak_flops * 1.1);
-    }
-
-    #[test]
-    fn system_effective_bandwidth() {
-        let s = SystemSpec::rtx3090_server(2);
-        assert!(s.effective_pcie_bw() < s.host.pcie_bw);
-        assert!(s.effective_pcie_bw() > 0.5 * s.host.pcie_bw);
     }
 
     #[test]

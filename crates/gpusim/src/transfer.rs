@@ -11,8 +11,8 @@ use crate::fault::{FaultedTransfer, RetryCostModel, TransferFault};
 use crate::spec::HostSpec;
 use crate::timeline::SimTime;
 
-/// Simulates host→device and device→host copies and accumulates a ledger
-/// of transferred bytes.
+/// Simulates host→device copies and accumulates a ledger of transferred
+/// bytes.
 ///
 /// # Example
 ///
@@ -20,7 +20,7 @@ use crate::timeline::SimTime;
 /// use fastgl_gpusim::{PcieEngine, SimTime};
 ///
 /// let mut pcie = PcieEngine::default();
-/// let t = pcie.feature_load(100 << 20); // gather + copy 100 MB
+/// let t = pcie.h2d(100 << 20); // copy 100 MB
 /// assert!(t > SimTime::from_millis(3)); // ≥ 100 MB / 32 GB/s
 /// assert_eq!(pcie.h2d_total(), 100 << 20);
 /// ```
@@ -28,24 +28,12 @@ use crate::timeline::SimTime;
 pub struct PcieEngine {
     spec: HostSpec,
     h2d_bytes: u64,
-    d2h_bytes: u64,
-    transfers: u64,
 }
 
 impl PcieEngine {
     /// An engine over the given host parameters.
     pub fn new(spec: HostSpec) -> Self {
-        Self {
-            spec,
-            h2d_bytes: 0,
-            d2h_bytes: 0,
-            transfers: 0,
-        }
-    }
-
-    /// Effective PCIe bandwidth in bytes/s.
-    pub fn effective_bw(&self) -> f64 {
-        self.spec.pcie_bw * self.spec.pcie_efficiency
+        Self { spec, h2d_bytes: 0 }
     }
 
     /// Time for the host to gather `bytes` of scattered rows into a pinned
@@ -58,21 +46,13 @@ impl PcieEngine {
     /// fixed per-transfer latency. Records the transfer in the ledger.
     pub fn h2d(&mut self, bytes: u64) -> SimTime {
         self.h2d_bytes += bytes;
-        self.transfers += 1;
-        self.copy_time(bytes)
-    }
-
-    /// Time for one device→host copy of `bytes`. Records the transfer.
-    pub fn d2h(&mut self, bytes: u64) -> SimTime {
-        self.d2h_bytes += bytes;
-        self.transfers += 1;
         self.copy_time(bytes)
     }
 
     /// Pure copy-time query (no ledger update).
     pub fn copy_time(&self, bytes: u64) -> SimTime {
         SimTime::from_nanos(self.spec.pcie_latency_ns)
-            + SimTime::from_secs_f64(bytes as f64 / self.effective_bw())
+            + SimTime::from_secs_f64(bytes as f64 / (self.spec.pcie_bw * self.spec.pcie_efficiency))
     }
 
     /// [`h2d`](Self::h2d) under an optional injected fault: a clean call
@@ -104,7 +84,6 @@ impl PcieEngine {
             Some(TransferFault::Retryable { failures }) => {
                 let overhead = model.overhead(self.copy_time(bytes), *failures);
                 self.h2d_bytes += model.wasted_bytes(bytes, *failures);
-                self.transfers += *failures as u64;
                 FaultedTransfer {
                     time: time + overhead,
                     overhead,
@@ -115,32 +94,9 @@ impl PcieEngine {
         }
     }
 
-    /// Full memory-IO time for a feature load: host gather followed by the
-    /// PCIe copy. Records the transfer.
-    pub fn feature_load(&mut self, bytes: u64) -> SimTime {
-        self.host_gather_time(bytes) + self.h2d(bytes)
-    }
-
     /// Total host→device bytes moved so far.
     pub fn h2d_total(&self) -> u64 {
         self.h2d_bytes
-    }
-
-    /// Total device→host bytes moved so far.
-    pub fn d2h_total(&self) -> u64 {
-        self.d2h_bytes
-    }
-
-    /// Number of individual transfers issued.
-    pub fn transfer_count(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Zeroes the ledger.
-    pub fn reset(&mut self) {
-        self.h2d_bytes = 0;
-        self.d2h_bytes = 0;
-        self.transfers = 0;
     }
 }
 
@@ -201,23 +157,7 @@ mod tests {
         let mut e = engine();
         e.h2d(100);
         e.h2d(200);
-        e.d2h(50);
         assert_eq!(e.h2d_total(), 300);
-        assert_eq!(e.d2h_total(), 50);
-        assert_eq!(e.transfer_count(), 3);
-        e.reset();
-        assert_eq!(e.h2d_total(), 0);
-        assert_eq!(e.transfer_count(), 0);
-    }
-
-    #[test]
-    fn feature_load_includes_gather() {
-        let mut e = engine();
-        let bytes = 100_000_000u64;
-        let load = e.feature_load(bytes);
-        let copy_only = e.copy_time(bytes);
-        assert!(load > copy_only);
-        assert_eq!(e.h2d_total(), bytes);
     }
 
     #[test]
@@ -256,7 +196,6 @@ mod tests {
         assert_eq!(ft.retries, 2);
         assert!(ft.overhead > SimTime::ZERO);
         assert_eq!(e.h2d_total(), 2000, "two half-copies wasted");
-        assert_eq!(e.transfer_count(), 3, "one success + two failures");
     }
 
     #[test]

@@ -6,10 +6,10 @@ use crate::csr::NodeId;
 
 /// Incrementally accumulates edges and produces a [`Csr`].
 ///
-/// The builder sorts adjacency lists, optionally removes duplicate edges
-/// and self loops, and optionally symmetrises the graph (adds the reverse
-/// of every edge), which is how the undirected benchmark graphs of the
-/// paper (e.g. Reddit, Products) are stored by DGL/PyG.
+/// The builder sorts adjacency lists, removes duplicate edges and self
+/// loops, and optionally symmetrises the graph (adds the reverse of every
+/// edge), which is how the undirected benchmark graphs of the paper (e.g.
+/// Reddit, Products) are stored by DGL/PyG.
 ///
 /// # Example
 ///
@@ -17,7 +17,6 @@ use crate::csr::NodeId;
 /// use fastgl_graph::GraphBuilder;
 ///
 /// let g = GraphBuilder::new(3)
-///     .dedup(true)
 ///     .symmetric(true)
 ///     .add_edge(0, 1)
 ///     .add_edge(0, 1) // duplicate, removed
@@ -29,9 +28,7 @@ use crate::csr::NodeId;
 pub struct GraphBuilder {
     num_nodes: u64,
     edges: Vec<(u64, u64)>,
-    dedup: bool,
     symmetric: bool,
-    drop_self_loops: bool,
 }
 
 impl GraphBuilder {
@@ -40,27 +37,13 @@ impl GraphBuilder {
         Self {
             num_nodes,
             edges: Vec::new(),
-            dedup: true,
             symmetric: false,
-            drop_self_loops: true,
         }
-    }
-
-    /// Whether duplicate edges are removed (default `true`).
-    pub fn dedup(mut self, yes: bool) -> Self {
-        self.dedup = yes;
-        self
     }
 
     /// Whether every edge also inserts its reverse (default `false`).
     pub fn symmetric(mut self, yes: bool) -> Self {
         self.symmetric = yes;
-        self
-    }
-
-    /// Whether self loops are dropped (default `true`).
-    pub fn drop_self_loops(mut self, yes: bool) -> Self {
-        self.drop_self_loops = yes;
         self
     }
 
@@ -104,13 +87,9 @@ impl GraphBuilder {
             let rev: Vec<(u64, u64)> = edges.iter().map(|&(u, v)| (v, u)).collect();
             edges.extend(rev);
         }
-        if self.drop_self_loops {
-            edges.retain(|&(u, v)| u != v);
-        }
+        edges.retain(|&(u, v)| u != v);
         edges.sort_unstable();
-        if self.dedup {
-            edges.dedup();
-        }
+        edges.dedup();
         let mut offsets = vec![0u64; n as usize + 1];
         for &(u, _) in &edges {
             offsets[u as usize + 1] += 1;
@@ -121,14 +100,6 @@ impl GraphBuilder {
         let targets: Vec<u64> = edges.into_iter().map(|(_, v)| v).collect();
         Csr::from_parts(offsets, targets).expect("builder output must be structurally valid")
     }
-}
-
-/// Convenience: builds a symmetric CSR directly from an edge list.
-pub fn csr_from_edges(num_nodes: u64, edges: &[(u64, u64)], symmetric: bool) -> Csr {
-    GraphBuilder::new(num_nodes)
-        .symmetric(symmetric)
-        .extend_edges(edges.iter().copied())
-        .build()
 }
 
 #[cfg(test)]
@@ -152,16 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_disabled_keeps_duplicates() {
-        let g = GraphBuilder::new(2)
-            .dedup(false)
-            .add_edge(0, 1)
-            .add_edge(0, 1)
-            .build();
-        assert_eq!(g.num_edges(), 2);
-    }
-
-    #[test]
     fn symmetric_adds_reverse_edges() {
         let g = GraphBuilder::new(3).symmetric(true).add_edge(0, 1).build();
         assert_eq!(g.neighbors(NodeId(0)), &[1]);
@@ -169,32 +130,15 @@ mod tests {
     }
 
     #[test]
-    fn self_loops_dropped_by_default() {
+    fn self_loops_are_dropped() {
         let g = GraphBuilder::new(2).add_edge(1, 1).add_edge(0, 1).build();
         assert_eq!(g.num_edges(), 1);
-    }
-
-    #[test]
-    fn self_loops_kept_when_enabled() {
-        let g = GraphBuilder::new(2)
-            .drop_self_loops(false)
-            .add_edge(1, 1)
-            .build();
-        assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.neighbors(NodeId(1)), &[1]);
     }
 
     #[test]
     fn out_of_range_endpoints_wrap() {
         let g = GraphBuilder::new(3).add_edge(4, 5).build(); // 1 -> 2
         assert_eq!(g.neighbors(NodeId(1)), &[2]);
-    }
-
-    #[test]
-    fn csr_from_edges_symmetric() {
-        let g = csr_from_edges(3, &[(0, 1), (1, 2)], true);
-        assert_eq!(g.num_edges(), 4);
-        assert_eq!(g.degree(NodeId(1)), 2);
     }
 
     #[test]

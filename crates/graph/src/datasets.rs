@@ -190,13 +190,6 @@ impl DatasetSpec {
         self.num_nodes * self.feature_dim as u64 * 4
     }
 
-    /// The batch size that corresponds to the paper's `batch` at this scale,
-    /// clamped to a practical floor so tiny scaled graphs still form
-    /// meaningful mini-batches.
-    pub fn scaled_batch_size(&self, paper_batch: u64) -> u64 {
-        (((paper_batch as f64) * self.scale.sqrt()) as u64).clamp(64, paper_batch)
-    }
-
     /// Generates the synthetic stand-in graph, virtual features, and a
     /// train/val/test split. Deterministic in `(self, seed)`.
     pub fn generate(&self, seed: u64) -> DatasetBundle {
@@ -233,19 +226,6 @@ impl DatasetBundle {
     /// Training seed nodes.
     pub fn train_nodes(&self) -> &[NodeId] {
         self.split.train()
-    }
-
-    /// Replaces the virtual feature store with materialized random features
-    /// (used by examples that want to actually run the numeric kernels).
-    pub fn materialize_features(&mut self, seed: u64) {
-        let mut rng = crate::rng::DeterministicRng::seed(seed);
-        let n = self.graph.num_nodes() as usize;
-        let d = self.spec.feature_dim;
-        let mut data = vec![0.0f32; n * d];
-        for x in data.iter_mut() {
-            *x = rng.normal_f32() * 0.1;
-        }
-        self.features = FeatureStore::materialized(data, d);
     }
 }
 
@@ -298,23 +278,6 @@ mod tests {
         let ratio = bundle.graph.average_degree() / spec.average_degree();
         assert!((0.4..=1.6).contains(&ratio), "degree ratio {ratio}");
         assert!(!bundle.train_nodes().is_empty());
-    }
-
-    #[test]
-    fn scaled_batch_size_reasonable() {
-        let spec = Dataset::Papers100M.spec().scaled(1.0 / 256.0);
-        let b = spec.scaled_batch_size(8000);
-        assert!((64..=8000).contains(&b), "batch {b}");
-    }
-
-    #[test]
-    fn materialize_features_fills_rows() {
-        let mut bundle = Dataset::Reddit.generate_scaled(1.0 / 4096.0, 3);
-        bundle.materialize_features(1);
-        assert!(bundle.features.is_materialized());
-        assert_eq!(bundle.features.num_rows(), bundle.graph.num_nodes());
-        let row = bundle.features.row(NodeId(0)).unwrap();
-        assert!(row.iter().any(|&x| x != 0.0));
     }
 
     #[test]

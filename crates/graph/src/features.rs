@@ -67,12 +67,6 @@ impl FeatureStore {
         self.num_rows
     }
 
-    /// Whether real values are stored.
-    #[inline]
-    pub fn is_materialized(&self) -> bool {
-        self.data.is_some()
-    }
-
     /// The full flat buffer when materialized.
     pub fn as_slice(&self) -> Option<&[f32]> {
         self.data.as_deref()
@@ -127,7 +121,6 @@ mod tests {
         let f = FeatureStore::virtual_store(100, 256);
         assert_eq!(f.dim(), 256);
         assert_eq!(f.num_rows(), 100);
-        assert!(!f.is_materialized());
         assert_eq!(f.row_bytes(), 1024);
         assert_eq!(f.total_bytes(), 102_400);
         assert!(f.row(NodeId(0)).is_none());

@@ -1,16 +1,11 @@
-//! Graph serialisation: text edge lists and a compact binary CSR format.
+//! Graph serialisation: text edge lists.
 //!
 //! Lets users bring their own graphs (the library is not tied to the
-//! synthetic generators) and lets expensive generated stand-ins be cached
-//! on disk between runs.
+//! synthetic generators).
 
 use crate::builder::GraphBuilder;
-use crate::csr::{Csr, CsrError};
+use crate::csr::Csr;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
-
-/// Magic bytes of the binary CSR format.
-const MAGIC: &[u8; 8] = b"FASTGLv1";
 
 /// Errors from graph I/O.
 #[derive(Debug)]
@@ -24,10 +19,6 @@ pub enum GraphIoError {
         /// The offending content.
         content: String,
     },
-    /// The binary file is not a FastGL CSR file or is truncated/corrupt.
-    BadFormat(String),
-    /// The decoded arrays do not form a valid CSR.
-    InvalidCsr(CsrError),
 }
 
 impl std::fmt::Display for GraphIoError {
@@ -37,8 +28,6 @@ impl std::fmt::Display for GraphIoError {
             GraphIoError::Parse { line, content } => {
                 write!(f, "cannot parse edge on line {line}: '{content}'")
             }
-            GraphIoError::BadFormat(msg) => write!(f, "bad file format: {msg}"),
-            GraphIoError::InvalidCsr(e) => write!(f, "invalid CSR payload: {e}"),
         }
     }
 }
@@ -100,80 +89,6 @@ pub fn write_edge_list<W: Write>(graph: &Csr, writer: W) -> Result<(), GraphIoEr
     Ok(())
 }
 
-/// Writes a graph in the compact binary CSR format.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_csr_binary<W: Write>(graph: &Csr, writer: W) -> Result<(), GraphIoError> {
-    let mut w = BufWriter::new(writer);
-    w.write_all(MAGIC)?;
-    w.write_all(&(graph.num_nodes()).to_le_bytes())?;
-    w.write_all(&(graph.num_edges()).to_le_bytes())?;
-    for &off in graph.offsets() {
-        w.write_all(&off.to_le_bytes())?;
-    }
-    for &t in graph.targets() {
-        w.write_all(&t.to_le_bytes())?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads a graph from the binary CSR format.
-///
-/// # Errors
-///
-/// Returns [`GraphIoError::BadFormat`] on wrong magic or truncation, and
-/// [`GraphIoError::InvalidCsr`] if the payload violates CSR invariants.
-pub fn read_csr_binary<R: Read>(reader: R) -> Result<Csr, GraphIoError> {
-    let mut r = BufReader::new(reader);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)
-        .map_err(|_| GraphIoError::BadFormat("missing header".into()))?;
-    if &magic != MAGIC {
-        return Err(GraphIoError::BadFormat("wrong magic bytes".into()));
-    }
-    let read_u64 = |r: &mut BufReader<R>| -> Result<u64, GraphIoError> {
-        let mut buf = [0u8; 8];
-        r.read_exact(&mut buf)
-            .map_err(|_| GraphIoError::BadFormat("truncated file".into()))?;
-        Ok(u64::from_le_bytes(buf))
-    };
-    let num_nodes = read_u64(&mut r)?;
-    let num_edges = read_u64(&mut r)?;
-    if num_nodes > u32::MAX as u64 * 16 || num_edges > u32::MAX as u64 * 64 {
-        return Err(GraphIoError::BadFormat("implausible header sizes".into()));
-    }
-    let mut offsets = Vec::with_capacity(num_nodes as usize + 1);
-    for _ in 0..=num_nodes {
-        offsets.push(read_u64(&mut r)?);
-    }
-    let mut targets = Vec::with_capacity(num_edges as usize);
-    for _ in 0..num_edges {
-        targets.push(read_u64(&mut r)?);
-    }
-    Csr::from_parts(offsets, targets).map_err(GraphIoError::InvalidCsr)
-}
-
-/// Convenience: saves a graph to `path` in binary CSR form.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn save(graph: &Csr, path: &Path) -> Result<(), GraphIoError> {
-    write_csr_binary(graph, std::fs::File::create(path)?)
-}
-
-/// Convenience: loads a binary CSR graph from `path`.
-///
-/// # Errors
-///
-/// See [`read_csr_binary`].
-pub fn load(path: &Path) -> Result<Csr, GraphIoError> {
-    read_csr_binary(std::fs::File::open(path)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,46 +123,6 @@ mod tests {
     fn edge_list_symmetric_mode() {
         let g = read_edge_list("0 1\n".as_bytes(), 2, true).unwrap();
         assert_eq!(g.num_edges(), 2);
-    }
-
-    #[test]
-    fn binary_round_trip() {
-        let g = rmat::generate(&RmatConfig::citation(500, 4_000), 5);
-        let mut buf = Vec::new();
-        write_csr_binary(&g, &mut buf).unwrap();
-        let back = read_csr_binary(&buf[..]).unwrap();
-        assert_eq!(g, back);
-    }
-
-    #[test]
-    fn binary_rejects_wrong_magic() {
-        let buf = b"NOTAGRPH00000000".to_vec();
-        assert!(matches!(
-            read_csr_binary(&buf[..]),
-            Err(GraphIoError::BadFormat(_))
-        ));
-    }
-
-    #[test]
-    fn binary_rejects_truncation() {
-        let g = rmat::generate(&RmatConfig::social(100, 500), 1);
-        let mut buf = Vec::new();
-        write_csr_binary(&g, &mut buf).unwrap();
-        buf.truncate(buf.len() - 5);
-        assert!(matches!(
-            read_csr_binary(&buf[..]),
-            Err(GraphIoError::BadFormat(_))
-        ));
-    }
-
-    #[test]
-    fn file_save_load_round_trip() {
-        let g = rmat::generate(&RmatConfig::social(150, 900), 9);
-        let path = std::env::temp_dir().join("fastgl_io_test.csr");
-        save(&g, &path).unwrap();
-        let back = load(&path).unwrap();
-        assert_eq!(g, back);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

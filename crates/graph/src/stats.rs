@@ -6,7 +6,7 @@
 //! (power-law tail weight), and a Gini coefficient of the degree
 //! distribution.
 
-use crate::csr::{Csr, NodeId};
+use crate::csr::Csr;
 
 /// Summary statistics of a graph's out-degree distribution.
 ///
@@ -93,52 +93,6 @@ impl DegreeStats {
     }
 }
 
-/// A log-2-bucketed degree histogram: `buckets[k]` counts nodes with
-/// out-degree in `[2^k, 2^(k+1))`; bucket 0 additionally holds degree-0
-/// and degree-1 nodes.
-pub fn degree_histogram(graph: &Csr) -> Vec<u64> {
-    let mut buckets: Vec<u64> = Vec::new();
-    for u in graph.nodes() {
-        let d = graph.degree(u);
-        let bucket = if d <= 1 {
-            0
-        } else {
-            63 - d.leading_zeros() as usize
-        };
-        if buckets.len() <= bucket {
-            buckets.resize(bucket + 1, 0);
-        }
-        buckets[bucket] += 1;
-    }
-    buckets
-}
-
-/// Per-node reachability sample: the number of distinct nodes within
-/// `hops` of `start` (BFS, capped at `cap` visits). Used to sanity-check
-/// the neighbour-explosion behaviour of the generators.
-pub fn neighborhood_size(graph: &Csr, start: NodeId, hops: usize, cap: usize) -> usize {
-    let mut visited = std::collections::HashSet::from([start.0]);
-    let mut frontier = vec![start.0];
-    for _ in 0..hops {
-        let mut next = Vec::new();
-        for &u in &frontier {
-            for &v in graph.neighbors(NodeId(u)) {
-                if visited.len() >= cap {
-                    return visited.len();
-                }
-                if visited.insert(v) {
-                    next.push(v);
-                }
-            }
-        }
-        frontier = next;
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    visited.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,25 +143,6 @@ mod tests {
         assert!(s.gini < 0.95);
         assert!(s.top1pct_edge_share > 0.05);
         assert!(s.max as f64 > 5.0 * s.mean);
-    }
-
-    #[test]
-    fn histogram_counts_every_node() {
-        let g = rmat::generate(&RmatConfig::social(1_000, 8_000), 9);
-        let h = degree_histogram(&g);
-        assert_eq!(h.iter().sum::<u64>(), 1_000);
-        // Power law: bucket counts decay towards the tail.
-        assert!(h[0] + h[1] > *h.last().unwrap());
-    }
-
-    #[test]
-    fn neighborhood_grows_with_hops_and_respects_cap() {
-        let g = rmat::generate(&RmatConfig::social(2_000, 20_000), 11);
-        let n1 = neighborhood_size(&g, NodeId(0), 1, usize::MAX);
-        let n2 = neighborhood_size(&g, NodeId(0), 2, usize::MAX);
-        assert!(n2 >= n1);
-        let capped = neighborhood_size(&g, NodeId(0), 3, 50);
-        assert!(capped <= 51);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::id_map::IdMap;
 use crate::neighbor::SampleStats;
 use crate::subgraph::{Block, SampledSubgraph};
 use fastgl_graph::{Csr, DeterministicRng, NodeId};
+use fastgl_telemetry::names;
 use std::collections::HashMap;
 
 /// LADIES-style layer-wise sampler.
@@ -159,8 +160,8 @@ impl LayerWiseSampler {
             hop_blocks,
             (0..seeds.len() as u64).collect(),
         );
-        fastgl_telemetry::counter_add("sample.nodes_sampled", subgraph.nodes.len() as u64);
-        fastgl_telemetry::counter_add("sample.edges_sampled", stats.edges_sampled);
+        fastgl_telemetry::counter_add(names::SAMPLE_NODES, subgraph.nodes.len() as u64);
+        fastgl_telemetry::counter_add(names::SAMPLE_EDGES, stats.edges_sampled);
         (subgraph, stats)
     }
 }

@@ -34,4 +34,4 @@ pub use layer_wise::LayerWiseSampler;
 pub use minibatch::MinibatchPlan;
 pub use neighbor::{NeighborSampler, SampleStats};
 pub use random_walk::RandomWalkSampler;
-pub use subgraph::{full_graph_blocks, Block, SampledSubgraph};
+pub use subgraph::{Block, SampledSubgraph};

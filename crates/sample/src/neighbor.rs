@@ -13,6 +13,7 @@
 use crate::id_map::{IdMap, IdMapStats};
 use crate::subgraph::{Block, SampledSubgraph};
 use fastgl_graph::{Csr, DeterministicRng, NodeId};
+use fastgl_telemetry::names;
 
 /// Statistics of one sampling run (one mini-batch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -185,8 +186,8 @@ impl NeighborSampler {
             hop_blocks,
             (0..seeds.len() as u64).collect(),
         );
-        fastgl_telemetry::counter_add("sample.nodes_sampled", subgraph.nodes.len() as u64);
-        fastgl_telemetry::counter_add("sample.edges_sampled", stats.edges_sampled);
+        fastgl_telemetry::counter_add(names::SAMPLE_NODES, subgraph.nodes.len() as u64);
+        fastgl_telemetry::counter_add(names::SAMPLE_EDGES, stats.edges_sampled);
         (subgraph, stats)
     }
 }

@@ -9,6 +9,7 @@ use crate::id_map::{IdMap, IdMapStats};
 use crate::neighbor::SampleStats;
 use crate::subgraph::{Block, SampledSubgraph};
 use fastgl_graph::{Csr, DeterministicRng, NodeId};
+use fastgl_telemetry::names;
 
 /// Random-walk neighbourhood sampler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,8 +110,8 @@ impl RandomWalkSampler {
             }],
             (0..num_dst as u64).collect(),
         );
-        fastgl_telemetry::counter_add("sample.nodes_sampled", subgraph.nodes.len() as u64);
-        fastgl_telemetry::counter_add("sample.edges_sampled", stats.edges_sampled);
+        fastgl_telemetry::counter_add(names::SAMPLE_NODES, subgraph.nodes.len() as u64);
+        fastgl_telemetry::counter_add(names::SAMPLE_EDGES, stats.edges_sampled);
         (subgraph, stats)
     }
 }

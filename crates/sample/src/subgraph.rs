@@ -176,38 +176,6 @@ impl SampledSubgraph {
     }
 }
 
-/// Builds the degenerate "subgraph" used for **full-graph inference**:
-/// every layer's block covers all nodes with their complete neighbour
-/// lists (plus self-loops). Running a trained model's forward pass over it
-/// produces exact (non-sampled) predictions for every node — the standard
-/// GraphSAGE-style inference step after sampled training.
-///
-/// The result satisfies [`SampledSubgraph::validate`]; its memory cost is
-/// `O(num_layers · num_edges)`, so call it on graphs that fit, or batch.
-pub fn full_graph_blocks(graph: &fastgl_graph::Csr, num_layers: usize) -> SampledSubgraph {
-    let n = graph.num_nodes();
-    let make_block = || {
-        let mut src_offsets = Vec::with_capacity(n as usize + 1);
-        let mut src_locals = Vec::with_capacity((graph.num_edges() + n) as usize);
-        src_offsets.push(0u64);
-        for u in graph.nodes() {
-            src_locals.push(u.0); // self-loop
-            src_locals.extend_from_slice(graph.neighbors(u));
-            src_offsets.push(src_locals.len() as u64);
-        }
-        Block {
-            dst_locals: (0..n).collect(),
-            src_offsets,
-            src_locals,
-        }
-    };
-    SampledSubgraph::new(
-        graph.nodes().collect(),
-        (0..num_layers.max(1)).map(|_| make_block()).collect(),
-        (0..n).collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,23 +250,6 @@ mod tests {
         let ids = g.sorted_global_ids();
         assert!(ids.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(ids.len(), 4);
-    }
-
-    #[test]
-    fn full_graph_blocks_are_valid_and_complete() {
-        use fastgl_graph::GraphBuilder;
-        let g = GraphBuilder::new(5)
-            .symmetric(true)
-            .extend_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
-            .build();
-        let sg = full_graph_blocks(&g, 2);
-        sg.validate().unwrap();
-        assert_eq!(sg.num_nodes(), 5);
-        assert_eq!(sg.blocks.len(), 2);
-        // Node 1 aggregates from itself plus its two neighbours.
-        assert_eq!(sg.blocks[0].sources_of(1), &[1, 0, 2]);
-        // Every node is a seed.
-        assert_eq!(sg.seed_locals.len(), 5);
     }
 
     #[test]

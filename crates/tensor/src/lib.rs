@@ -9,7 +9,7 @@
 //!   transposed variants backward passes need.
 //! * [`ops`] — activations and row-wise softmax utilities.
 //! * [`loss`] — softmax cross-entropy with gradient, and accuracy.
-//! * [`optim`] — SGD (with momentum) and Adam.
+//! * [`optim`] — plain SGD and Adam.
 //! * [`init`] — Xavier/Glorot initialisation over a deterministic RNG.
 //! * [`parallel`] — the workspace-wide deterministic fork-join execution
 //!   backend (`FASTGL_THREADS` knob, serial cutoffs).
@@ -27,4 +27,4 @@ pub mod optim;
 pub mod parallel;
 
 pub use matrix::Matrix;
-pub use optim::{Adam, AdamSlotState, AdamState, ClipNorm, Optimizer, Sgd, StepDecay};
+pub use optim::{Adam, AdamSlotState, AdamState, Optimizer, Sgd};

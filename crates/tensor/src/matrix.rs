@@ -9,6 +9,7 @@
 //! per-kernel cutoffs never leave the calling thread.
 
 use crate::parallel;
+use fastgl_telemetry::names;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
@@ -159,7 +160,7 @@ impl Matrix {
             .with_u64("k", self.cols as u64)
             .with_u64("n", rhs.cols as u64);
         fastgl_telemetry::counter_add(
-            "tensor.matmul_flops",
+            names::TENSOR_MATMUL_FLOPS,
             2 * (self.rows * self.cols * rhs.cols) as u64,
         );
         let n = rhs.cols;
@@ -215,7 +216,7 @@ impl Matrix {
             .with_u64("k", self.rows as u64)
             .with_u64("n", rhs.cols as u64);
         fastgl_telemetry::counter_add(
-            "tensor.matmul_flops",
+            names::TENSOR_MATMUL_FLOPS,
             2 * (self.rows * self.cols * rhs.cols) as u64,
         );
         let n = rhs.cols;
@@ -260,7 +261,7 @@ impl Matrix {
             .with_u64("k", self.cols as u64)
             .with_u64("n", rhs.rows as u64);
         fastgl_telemetry::counter_add(
-            "tensor.matmul_flops",
+            names::TENSOR_MATMUL_FLOPS,
             2 * (self.rows * self.cols * rhs.rows) as u64,
         );
         let n = rhs.rows;
@@ -406,8 +407,8 @@ impl Matrix {
         let _span = fastgl_telemetry::span("tensor.gather")
             .with_u64("rows", indices.len() as u64)
             .with_u64("dim", dim as u64);
-        fastgl_telemetry::counter_add("tensor.gather_rows", indices.len() as u64);
-        fastgl_telemetry::counter_add("tensor.gather_bytes", (indices.len() * dim * 4) as u64);
+        fastgl_telemetry::counter_add(names::TENSOR_GATHER_ROWS, indices.len() as u64);
+        fastgl_telemetry::counter_add(names::TENSOR_GATHER_BYTES, (indices.len() * dim * 4) as u64);
         let mut out = Matrix::zeros(indices.len(), dim);
         if dim == 0 {
             for &idx in indices {

@@ -37,26 +37,6 @@ pub fn relu_backward(input: &Matrix, grad: &Matrix) -> Matrix {
     out
 }
 
-/// Leaky ReLU with slope `alpha` for negative inputs (GAT uses 0.2).
-pub fn leaky_relu(x: &Matrix, alpha: f32) -> Matrix {
-    x.map(|v| if v > 0.0 { v } else { alpha * v })
-}
-
-/// Backward of leaky ReLU.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn leaky_relu_backward(input: &Matrix, grad: &Matrix, alpha: f32) -> Matrix {
-    assert_eq!(
-        (input.rows(), input.cols()),
-        (grad.rows(), grad.cols()),
-        "leaky_relu_backward shape mismatch"
-    );
-    let mask = input.map(|v| if v > 0.0 { 1.0 } else { alpha });
-    mask.hadamard(grad)
-}
-
 /// Numerically-stable row-wise softmax.
 pub fn softmax_rows(x: &Matrix) -> Matrix {
     let mut out = x.clone();
@@ -148,14 +128,6 @@ mod tests {
         let reference = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 }).hadamard(&g);
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&relu_backward(&x, &g)), bits(&reference));
-    }
-
-    #[test]
-    fn leaky_relu_scales_negatives() {
-        let x = Matrix::from_vec(1, 2, vec![-10.0, 10.0]);
-        assert_eq!(leaky_relu(&x, 0.2).as_slice(), &[-2.0, 10.0]);
-        let g = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        assert_eq!(leaky_relu_backward(&x, &g, 0.2).as_slice(), &[0.2, 1.0]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! First-order optimisers: SGD with momentum, and Adam.
+//! First-order optimisers: plain SGD and Adam.
 //!
 //! Optimisers address parameters by a caller-chosen `slot` index, so a
 //! model registers each weight matrix once and then calls
 //! [`Optimizer::step`] with the same slot every iteration; per-slot state
-//! (momentum buffers, Adam moments) is allocated lazily.
+//! (Adam moments) is allocated lazily.
 
 use std::collections::HashMap;
 
@@ -13,67 +13,30 @@ pub trait Optimizer {
     ///
     /// # Panics
     ///
-    /// Implementations panic if `param.len() != grad.len()` or if a slot is
-    /// reused with a different length.
+    /// Implementations panic if `param.len() != grad.len()`; [`Adam`] also
+    /// panics if a slot is reused with a different length.
     fn step(&mut self, slot: usize, param: &mut [f32], grad: &[f32]);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Replaces the learning rate (e.g. for decay schedules).
-    fn set_learning_rate(&mut self, lr: f32);
 }
 
-/// Stochastic gradient descent with classical momentum.
+/// Plain stochastic gradient descent: `param -= lr · grad`.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
-    velocity: HashMap<usize, Vec<f32>>,
 }
 
 impl Sgd {
-    /// Plain SGD with learning rate `lr`.
+    /// SGD with learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// SGD with momentum coefficient `momentum`.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: HashMap::new(),
-        }
+        Self { lr }
     }
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, slot: usize, param: &mut [f32], grad: &[f32]) {
+    fn step(&mut self, _slot: usize, param: &mut [f32], grad: &[f32]) {
         assert_eq!(param.len(), grad.len(), "param/grad length mismatch");
-        if self.momentum == 0.0 {
-            for (p, &g) in param.iter_mut().zip(grad) {
-                *p -= self.lr * g;
-            }
-            return;
+        for (p, &g) in param.iter_mut().zip(grad) {
+            *p -= self.lr * g;
         }
-        let v = self
-            .velocity
-            .entry(slot)
-            .or_insert_with(|| vec![0.0; param.len()]);
-        assert_eq!(v.len(), param.len(), "slot {slot} reused with new length");
-        for ((p, &g), vi) in param.iter_mut().zip(grad).zip(v.iter_mut()) {
-            *vi = self.momentum * *vi + g;
-            *p -= self.lr * *vi;
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -106,11 +69,6 @@ impl Adam {
     /// *before* the slot updates of that iteration.
     pub fn next_iteration(&mut self) {
         self.t += 1;
-    }
-
-    /// The shared timestep (number of `next_iteration` calls so far).
-    pub fn timestep(&self) -> u64 {
-        self.t
     }
 
     /// Snapshots the optimiser's full state (timestep and per-slot
@@ -191,99 +149,6 @@ impl Optimizer for Adam {
             param[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Decorates an optimiser with global gradient-norm clipping: when a
-/// slot's gradient L2 norm exceeds `max_norm`, the gradient is scaled down
-/// to that norm before the inner update (the standard stabiliser for GNN
-/// training on skewed graphs, where hub nodes can produce huge gradients).
-#[derive(Debug, Clone)]
-pub struct ClipNorm<O> {
-    inner: O,
-    max_norm: f32,
-}
-
-impl<O: Optimizer> ClipNorm<O> {
-    /// Wraps `inner`, clipping each slot's gradient to `max_norm`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_norm` is not positive.
-    pub fn new(inner: O, max_norm: f32) -> Self {
-        assert!(max_norm > 0.0, "max_norm must be positive");
-        Self { inner, max_norm }
-    }
-
-    /// The wrapped optimiser.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-}
-
-impl<O: Optimizer> Optimizer for ClipNorm<O> {
-    fn step(&mut self, slot: usize, param: &mut [f32], grad: &[f32]) {
-        let norm = grad.iter().map(|g| g * g).sum::<f32>().sqrt();
-        if norm > self.max_norm {
-            let scale = self.max_norm / norm;
-            let clipped: Vec<f32> = grad.iter().map(|g| g * scale).collect();
-            self.inner.step(slot, param, &clipped);
-        } else {
-            self.inner.step(slot, param, grad);
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.inner.learning_rate()
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.inner.set_learning_rate(lr);
-    }
-}
-
-/// A step-decay learning-rate schedule: multiplies the rate by `gamma`
-/// every `period` epochs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepDecay {
-    initial_lr: f32,
-    gamma: f32,
-    period: u64,
-}
-
-impl StepDecay {
-    /// A schedule starting at `initial_lr`, scaled by `gamma` every
-    /// `period` epochs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0` or `gamma` is not in `(0, 1]`.
-    pub fn new(initial_lr: f32, gamma: f32, period: u64) -> Self {
-        assert!(period > 0, "period must be positive");
-        assert!(gamma > 0.0 && gamma <= 1.0, "gamma must be in (0, 1]");
-        Self {
-            initial_lr,
-            gamma,
-            period,
-        }
-    }
-
-    /// The learning rate at `epoch`.
-    pub fn rate_at(&self, epoch: u64) -> f32 {
-        self.initial_lr * self.gamma.powi((epoch / self.period) as i32)
-    }
-
-    /// Applies the schedule to an optimiser for `epoch`.
-    pub fn apply(&self, opt: &mut dyn Optimizer, epoch: u64) {
-        opt.set_learning_rate(self.rate_at(epoch));
-    }
 }
 
 #[cfg(test)]
@@ -291,8 +156,7 @@ mod tests {
     use super::*;
 
     /// Minimises f(x) = (x - 3)^2 whose gradient is 2(x - 3).
-    fn run_quadratic(opt: &mut dyn Optimizer, steps: usize, adam: Option<&mut bool>) -> f32 {
-        let _ = adam;
+    fn run_quadratic(opt: &mut dyn Optimizer, steps: usize) -> f32 {
         let mut x = [0.0f32];
         for _ in 0..steps {
             let g = [2.0 * (x[0] - 3.0)];
@@ -304,15 +168,8 @@ mod tests {
     #[test]
     fn sgd_converges_on_quadratic() {
         let mut opt = Sgd::new(0.1);
-        let x = run_quadratic(&mut opt, 100, None);
+        let x = run_quadratic(&mut opt, 100);
         assert!((x - 3.0).abs() < 1e-3, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        let x = run_quadratic(&mut opt, 200, None);
-        assert!((x - 3.0).abs() < 1e-2, "x = {x}");
     }
 
     #[test]
@@ -325,81 +182,6 @@ mod tests {
             opt.step(0, &mut x, &g);
         }
         assert!((x[0] - 3.0).abs() < 1e-2, "x = {}", x[0]);
-    }
-
-    #[test]
-    fn slots_keep_independent_state() {
-        let mut opt = Sgd::with_momentum(0.1, 0.9);
-        let mut a = [0.0f32];
-        let mut b = [0.0f32];
-        opt.step(0, &mut a, &[1.0]);
-        opt.step(0, &mut a, &[1.0]);
-        opt.step(1, &mut b, &[1.0]);
-        // Slot 0 has accumulated momentum, slot 1 has not.
-        let a_step2 = a[0];
-        assert!((a_step2 - (-0.1 - 0.19)).abs() < 1e-6, "{a_step2}");
-        assert!((b[0] - (-0.1)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn learning_rate_is_adjustable() {
-        let mut opt = Adam::new(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
-        opt.set_learning_rate(0.001);
-        assert_eq!(opt.learning_rate(), 0.001);
-    }
-
-    #[test]
-    fn clipping_bounds_the_applied_gradient() {
-        let mut clipped = ClipNorm::new(Sgd::new(1.0), 1.0);
-        let mut plain = Sgd::new(1.0);
-        let mut p1 = [0.0f32];
-        let mut p2 = [0.0f32];
-        let huge = [100.0f32];
-        clipped.step(0, &mut p1, &huge);
-        plain.step(0, &mut p2, &huge);
-        assert_eq!(p1[0], -1.0, "clipped to unit norm");
-        assert_eq!(p2[0], -100.0);
-        // Small gradients pass through unchanged.
-        let mut p3 = [0.0f32];
-        clipped.step(1, &mut p3, &[0.5]);
-        assert_eq!(p3[0], -0.5);
-        assert_eq!(clipped.learning_rate(), 1.0);
-    }
-
-    #[test]
-    fn clipped_training_still_converges() {
-        let mut opt = ClipNorm::new(Adam::new(0.1), 0.5);
-        let mut x = [10.0f32];
-        for _ in 0..300 {
-            let g = [2.0 * (x[0] - 3.0)];
-            opt.step(0, &mut x, &g);
-        }
-        assert!((x[0] - 3.0).abs() < 0.05, "x = {}", x[0]);
-    }
-
-    #[test]
-    fn step_decay_schedule() {
-        let s = StepDecay::new(0.1, 0.5, 2);
-        assert_eq!(s.rate_at(0), 0.1);
-        assert_eq!(s.rate_at(1), 0.1);
-        assert_eq!(s.rate_at(2), 0.05);
-        assert_eq!(s.rate_at(5), 0.025);
-        let mut opt = Sgd::new(0.1);
-        s.apply(&mut opt, 4);
-        assert_eq!(opt.learning_rate(), 0.025);
-    }
-
-    #[test]
-    #[should_panic(expected = "gamma must be in")]
-    fn step_decay_rejects_bad_gamma() {
-        let _ = StepDecay::new(0.1, 1.5, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "max_norm must be positive")]
-    fn clip_rejects_non_positive_norm() {
-        let _ = ClipNorm::new(Sgd::new(0.1), 0.0);
     }
 
     #[test]
@@ -428,7 +210,7 @@ mod tests {
         // exactly like the original.
         let mut b = Adam::new(0.999); // wrong lr, will be overwritten
         b.restore(&snap);
-        assert_eq!(b.timestep(), 7);
+        assert_eq!(b.state().t, 7);
         let (mut xa, mut xb) = (x, x);
         for _ in 0..5 {
             a.next_iteration();

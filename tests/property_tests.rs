@@ -125,7 +125,6 @@ proptest! {
         edges in prop::collection::vec((0u64..100, 0u64..100), 0..500),
     ) {
         let g = GraphBuilder::new(100)
-            .dedup(true)
             .extend_edges(edges.iter().copied())
             .build();
         let expected: HashSet<(u64, u64)> = edges
