@@ -4,7 +4,7 @@
 use crate::experiments::base_config;
 use crate::report::{fmt_secs, Report, Table};
 use crate::scale::BenchScale;
-use fastgl_baselines::GnnLabSystem;
+use fastgl_baselines::SystemKind;
 use fastgl_core::{FastGl, TrainingSystem};
 use fastgl_graph::Dataset;
 
@@ -22,7 +22,7 @@ pub fn run(scale: &BenchScale) -> Report {
         &["cache ratio", "GNNLab", "FastGL"],
     );
     for ratio in [0.0, 0.1, 0.3, 0.5, 0.7, 0.9] {
-        let mut lab = GnnLabSystem::with_cache_ratio(base_config(scale), ratio);
+        let mut lab = SystemKind::GnnLab.build(base_config(scale).with_cache_ratio(ratio));
         let mut fast = FastGl::new(base_config(scale).with_cache_ratio(ratio));
         let io_lab = lab.run_epochs(&data, scale.epochs).breakdown.io;
         let io_fast = fast.run_epochs(&data, scale.epochs).breakdown.io;

@@ -18,18 +18,6 @@ pub struct MatchResult {
     pub reused: u64,
 }
 
-impl MatchResult {
-    /// Fraction of the incoming batch served by reuse.
-    pub fn reuse_fraction(&self) -> f64 {
-        let total = self.load.len() as u64 + self.reused;
-        if total == 0 {
-            0.0
-        } else {
-            self.reused as f64 / total as f64
-        }
-    }
-}
-
 /// Computes the Match between `incoming` (the next mini-batch's sorted node
 /// set) and `resident` (the sorted node set currently on the device).
 ///
@@ -87,7 +75,6 @@ mod tests {
         let m = match_load_set(&incoming, &resident);
         assert_eq!(m.load, ids(&[10, 12]));
         assert_eq!(m.reused, 3);
-        assert!((m.reuse_fraction() - 0.6).abs() < 1e-12);
     }
 
     #[test]
@@ -96,7 +83,6 @@ mod tests {
         let m = match_load_set(&incoming, &[]);
         assert_eq!(m.load, incoming);
         assert_eq!(m.reused, 0);
-        assert_eq!(m.reuse_fraction(), 0.0);
     }
 
     #[test]
@@ -105,7 +91,6 @@ mod tests {
         let m = match_load_set(&set, &set);
         assert!(m.load.is_empty());
         assert_eq!(m.reused, 3);
-        assert_eq!(m.reuse_fraction(), 1.0);
     }
 
     #[test]
@@ -120,7 +105,6 @@ mod tests {
         let m = match_load_set(&[], &ids(&[1, 2]));
         assert!(m.load.is_empty());
         assert_eq!(m.reused, 0);
-        assert_eq!(m.reuse_fraction(), 0.0);
     }
 
     #[test]

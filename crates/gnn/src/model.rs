@@ -6,7 +6,7 @@ use crate::layers::gin::GinLayer;
 use crate::layers::sage::SageLayer;
 use crate::layers::GnnLayer;
 use fastgl_sample::SampledSubgraph;
-use fastgl_tensor::loss::{softmax_cross_entropy, LossOutput};
+use fastgl_tensor::loss::softmax_cross_entropy;
 use fastgl_tensor::{Matrix, Optimizer};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -352,22 +352,6 @@ impl GnnModel {
         let acc = fastgl_tensor::loss::accuracy(&logits, labels);
         (loss, acc)
     }
-
-    /// One full training step on a mini-batch: forward, loss, backward,
-    /// update. Returns the loss value.
-    pub fn train_step(
-        &mut self,
-        subgraph: &SampledSubgraph,
-        features: &Matrix,
-        labels: &[u32],
-        opt: &mut dyn Optimizer,
-    ) -> f32 {
-        let logits = self.forward(subgraph, features);
-        let LossOutput { loss, grad } = softmax_cross_entropy(&logits, labels);
-        self.backward(subgraph, &grad);
-        self.apply_grads(opt);
-        loss
-    }
 }
 
 #[cfg(test)]
@@ -388,6 +372,22 @@ mod tests {
 
     fn features(sg: &SampledSubgraph, dim: usize) -> Matrix {
         crate::layers::test_util::input(sg.num_nodes() as usize, dim, 3)
+    }
+
+    /// One training step the way the trainer runs it: forward, loss,
+    /// backward, update. Returns the loss value.
+    fn train_step(
+        model: &mut GnnModel,
+        sg: &SampledSubgraph,
+        x: &Matrix,
+        labels: &[u32],
+        opt: &mut dyn Optimizer,
+    ) -> f32 {
+        let logits = model.forward(sg, x);
+        let out = softmax_cross_entropy(&logits, labels);
+        model.backward(sg, &out.grad);
+        model.apply_grads(opt);
+        out.loss
     }
 
     #[test]
@@ -428,11 +428,11 @@ mod tests {
             let x = features(&sg, 8);
             let labels: Vec<u32> = (0..16).map(|i| (i % 3) as u32).collect();
             let mut opt = Adam::new(0.01);
-            let first = model.train_step(&sg, &x, &labels, &mut opt);
+            let first = train_step(&mut model, &sg, &x, &labels, &mut opt);
             let mut last = first;
             for _ in 0..80 {
                 opt.next_iteration();
-                last = model.train_step(&sg, &x, &labels, &mut opt);
+                last = train_step(&mut model, &sg, &x, &labels, &mut opt);
             }
             assert!(
                 last < first * 0.7,
@@ -489,11 +489,11 @@ mod tests {
         let x = features(&sg, 8);
         let labels: Vec<u32> = (0..16).map(|i| (i % 3) as u32).collect();
         let mut opt = Adam::new(0.01);
-        let first = model.train_step(&sg, &x, &labels, &mut opt);
+        let first = train_step(&mut model, &sg, &x, &labels, &mut opt);
         let mut last = first;
         for _ in 0..60 {
             opt.next_iteration();
-            last = model.train_step(&sg, &x, &labels, &mut opt);
+            last = train_step(&mut model, &sg, &x, &labels, &mut opt);
         }
         assert!(last < first * 0.7, "SAGE loss {first} -> {last}");
         assert_eq!(cfg.param_count(), model.param_count());
@@ -527,7 +527,7 @@ mod tests {
         // Perturb `trained` so the two models differ, then transfer state.
         let labels: Vec<u32> = (0..16).map(|i| (i % 3) as u32).collect();
         let mut opt = Adam::new(0.05);
-        trained.train_step(&sg, &x, &labels, &mut opt);
+        train_step(&mut trained, &sg, &x, &labels, &mut opt);
         let before = trained.forward(&sg, &x);
         assert_ne!(before, fresh.forward(&sg, &x));
         let state = trained.state();

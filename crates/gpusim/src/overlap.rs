@@ -3,8 +3,8 @@
 //! Several designs in the paper's landscape hide one stage behind another:
 //! DGL/PyG prefetch features during compute, GNNLab runs sampling on a
 //! dedicated GPU, FastGL prefetches the next subgraph's topology (§6.5).
-//! This module provides the depth-1 prefetch bound those designs obey and
-//! the producer time it leaves visible.
+//! This module computes the producer time left visible under the depth-1
+//! prefetch bound those designs obey.
 
 use crate::timeline::SimTime;
 
@@ -17,7 +17,7 @@ use crate::timeline::SimTime;
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn two_stage_pipeline(stage1: &[SimTime], stage2: &[SimTime]) -> SimTime {
+fn two_stage_pipeline(stage1: &[SimTime], stage2: &[SimTime]) -> SimTime {
     assert_eq!(
         stage1.len(),
         stage2.len(),

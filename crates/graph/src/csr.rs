@@ -215,14 +215,6 @@ impl Csr {
         }
     }
 
-    /// Maximum out-degree.
-    pub fn max_degree(&self) -> u64 {
-        (0..self.num_nodes())
-            .map(|u| self.degree(NodeId(u)))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Raw offsets array (length `num_nodes + 1`).
     #[inline]
     pub fn offsets(&self) -> &[u64] {
@@ -336,7 +328,7 @@ mod tests {
         assert_eq!(g.num_nodes(), 5);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.average_degree(), 0.0);
-        assert_eq!(g.max_degree(), 0);
+        assert!(g.nodes().all(|u| g.degree(u) == 0));
     }
 
     #[test]

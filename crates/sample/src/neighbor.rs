@@ -51,13 +51,11 @@ pub struct NeighborSampler {
     /// Per-hop fanouts, hop 1 (from the seeds) first. The paper's default
     /// is `[5, 10, 15]`.
     pub fanouts: Vec<usize>,
-    /// Whether each destination also aggregates from itself (GCN-style
-    /// self-loops). Default `true`.
-    pub add_self_loops: bool,
 }
 
 impl NeighborSampler {
-    /// A sampler with the given fanouts and self-loops enabled.
+    /// A sampler with the given fanouts. Every destination also aggregates
+    /// from itself (a GCN-style self-loop), listed first among its sources.
     ///
     /// # Panics
     ///
@@ -65,10 +63,7 @@ impl NeighborSampler {
     pub fn new(fanouts: Vec<usize>) -> Self {
         assert!(!fanouts.is_empty(), "need at least one hop");
         assert!(fanouts.iter().all(|&f| f > 0), "fanouts must be positive");
-        Self {
-            fanouts,
-            add_self_loops: true,
-        }
+        Self { fanouts }
     }
 
     /// The paper's default 3-hop `[5, 10, 15]` sampler.
@@ -156,17 +151,13 @@ impl NeighborSampler {
 
             // Build this hop's block: dst i = frontier position i.
             let sampled_locals = &out.locals[num_dst..];
-            let self_loop = self.add_self_loops;
             let mut src_offsets = Vec::with_capacity(num_dst + 1);
-            let mut src_locals =
-                Vec::with_capacity(num_drawn + if self_loop { num_dst } else { 0 });
+            let mut src_locals = Vec::with_capacity(num_drawn + num_dst);
             src_offsets.push(0u64);
             let mut cursor = 0usize;
+            stats.self_loops += num_dst as u64;
             for (i, &count) in counts.iter().enumerate() {
-                if self_loop {
-                    src_locals.push(i as u64);
-                    stats.self_loops += 1;
-                }
+                src_locals.push(i as u64);
                 src_locals.extend_from_slice(&sampled_locals[cursor..cursor + count]);
                 cursor += count;
                 src_offsets.push(src_locals.len() as u64);

@@ -22,7 +22,6 @@ fn attrs_json(attrs: &[(&'static str, AttrValue)]) -> String {
         }
         let _ = match v {
             AttrValue::U64(x) => write!(out, "\"{}\":{x}", escape(k)),
-            AttrValue::F64(x) => write!(out, "\"{}\":{}", escape(k), number(*x)),
             AttrValue::Str(s) => write!(out, "\"{}\":\"{}\"", escape(k), escape(s)),
         };
     }
@@ -334,7 +333,7 @@ mod tests {
     fn populated() -> crate::Snapshot {
         {
             let _a = span("alpha").with_u64("rows", 10).with_str("q", "a\"b\\c");
-            let _b = span("beta").with_f64("ratio", 0.5);
+            let _b = span("beta").with_u64("ratio_pct", 50);
         }
         counter_add("bytes", 4096);
         observe("latency_ns", 1234);

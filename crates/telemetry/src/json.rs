@@ -51,14 +51,6 @@ impl Value {
         }
     }
 
-    /// The numeric payload, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The elements, if this is an array.
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {
@@ -337,7 +329,7 @@ mod tests {
             "rows":[["1.00x","60.7%"],["2.50ms","3.00GB"]]}],"n":-1.5e2}"#;
         let v = parse(doc).unwrap();
         assert_eq!(v.get("id").unwrap().as_str(), Some("fig01"));
-        assert_eq!(v.get("n").unwrap().as_num(), Some(-150.0));
+        assert_eq!(v.get("n"), Some(&Value::Num(-150.0)));
         let tables = v.get("tables").unwrap().as_arr().unwrap();
         let rows = tables[0].get("rows").unwrap().as_arr().unwrap();
         assert_eq!(rows[1].as_arr().unwrap()[1].as_str(), Some("3.00GB"));

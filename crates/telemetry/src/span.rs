@@ -43,8 +43,6 @@ pub enum Track {
 pub enum AttrValue {
     /// Unsigned integer.
     U64(u64),
-    /// Float.
-    F64(f64),
     /// String.
     Str(String),
 }
@@ -167,15 +165,6 @@ impl SpanGuard {
         self
     }
 
-    /// Attaches a float attribute.
-    #[inline]
-    pub fn with_f64(mut self, key: &'static str, value: f64) -> Self {
-        if self.active {
-            self.attrs.push((key, AttrValue::F64(value)));
-        }
-        self
-    }
-
     /// Attaches a string attribute.
     #[inline]
     pub fn with_str(mut self, key: &'static str, value: impl Into<String>) -> Self {
@@ -215,25 +204,6 @@ impl Drop for SpanGuard {
             attrs: std::mem::take(&mut self.attrs),
         });
     }
-}
-
-/// Appends one span of `dur_ns` simulated nanoseconds to the simulated
-/// timeline (the track advances monotonically; successive calls lay spans
-/// back to back).
-pub fn record_sim_span(name: &'static str, dur_ns: u64, attrs: Vec<(&'static str, AttrValue)>) {
-    if !crate::enabled() {
-        return;
-    }
-    let start = SIM_CURSOR.fetch_add(dur_ns, Ordering::Relaxed);
-    record(Event {
-        name,
-        track: Track::Sim,
-        start_ns: start,
-        dur_ns,
-        depth: 0,
-        seq: SEQ.fetch_add(1, Ordering::Relaxed),
-        attrs,
-    });
 }
 
 /// Bridges one phase breakdown onto the simulated timeline: an enclosing
@@ -497,7 +467,7 @@ mod tests {
         with_telemetry(|| {
             let over = 50;
             for _ in 0..over {
-                record_sim_span("tick", 1, Vec::new());
+                record_sim_phases("tick", &[]);
             }
             let snap = snapshot();
             assert_eq!(snap.events.len(), over);

@@ -18,7 +18,10 @@ fn str_field<'a>(v: &'a Value, key: &str) -> &'a str {
 }
 
 fn num_field(v: &Value, key: &str) -> f64 {
-    field(v, key).as_num().expect("numeric field")
+    match field(v, key) {
+        Value::Num(n) => *n,
+        other => panic!("field {key:?} is not a number: {other:?}"),
+    }
 }
 
 // -------------------------------------------------------------------

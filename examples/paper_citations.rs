@@ -10,7 +10,7 @@
 //! scale, then sweeps the cache ratio to show FastGL's advantage grows
 //! exactly where caches cannot help.
 
-use fastgl::baselines::GnnLabSystem;
+use fastgl::baselines::SystemKind;
 use fastgl::core::memory_model::estimate_unique_nodes;
 use fastgl::core::{FastGl, FastGlConfig, TrainingSystem};
 use fastgl::graph::Dataset;
@@ -42,7 +42,7 @@ fn main() {
         "cache ratio", "GNNLab IO", "FastGL IO"
     );
     for ratio in [0.0, 0.2, 0.4, 0.6, 0.8] {
-        let mut lab = GnnLabSystem::with_cache_ratio(base.clone(), ratio);
+        let mut lab = SystemKind::GnnLab.build(base.clone().with_cache_ratio(ratio));
         let mut fast = FastGl::new(base.clone().with_cache_ratio(ratio));
         let io_lab = lab.run_epochs(&data, 2).breakdown.io;
         let io_fast = fast.run_epochs(&data, 2).breakdown.io;

@@ -28,11 +28,12 @@ OPTIONS:
     --model <name>       gcn | gin | gat | sage  [gcn]
     --sampler <name>     neighbor | walk | layerwise  [neighbor]
     --batch <n>          mini-batch size  [256]
-    --gpus <n>           simulated GPU count  [2]
+    --gpus <n>           simulated GPU count (gnnlab needs 2 or more)  [2]
     --scale <d>          dataset scale divisor (graph is 1/d of full size)  [512]
     --epochs <n>         epochs to average  [3]
     --fanouts <a,b,c>    per-hop fanouts  [5,10,15]
-    --cache-ratio <f>    explicit cache ratio in [0,1]  [auto]
+    --cache-ratio <f>    explicit cache ratio in [0,1]; only fastgl, gnnlab
+                         and pagraph keep a cache, the others ignore it  [auto]
     --seed <n>           random seed  [42]
     --help               print this text
 ";
@@ -69,14 +70,13 @@ fn parse_args() -> Result<(Dataset, SystemKind, FastGlConfig, f64, u64), String>
                 };
             }
             "--system" => {
-                system = match value(&mut i)?.to_lowercase().as_str() {
-                    "fastgl" => SystemKind::FastGl,
-                    "dgl" => SystemKind::Dgl,
-                    "pyg" => SystemKind::Pyg,
-                    "gnnlab" => SystemKind::GnnLab,
-                    "gnnadvisor" | "advisor" => SystemKind::GnnAdvisor,
-                    "pagraph" => SystemKind::PaGraph,
-                    other => return Err(format!("unknown system '{other}'")),
+                let name = value(&mut i)?.to_lowercase();
+                system = match name.as_str() {
+                    "advisor" => SystemKind::GnnAdvisor,
+                    other => SystemKind::ALL
+                        .into_iter()
+                        .find(|kind| kind.name().eq_ignore_ascii_case(other))
+                        .ok_or_else(|| format!("unknown system '{other}'"))?,
                 };
             }
             "--model" => {
@@ -148,6 +148,13 @@ fn parse_args() -> Result<(Dataset, SystemKind, FastGlConfig, f64, u64), String>
         i += 1;
     }
     config.validate()?;
+    if config.system.num_gpus < system.min_gpus() {
+        return Err(format!(
+            "{system} needs at least {} GPUs (got --gpus {})",
+            system.min_gpus(),
+            config.system.num_gpus
+        ));
+    }
     Ok((dataset, system, config, scale, epochs))
 }
 

@@ -13,15 +13,6 @@ fn config() -> FastGlConfig {
         .with_fanouts(vec![3, 5])
 }
 
-const ALL_SYSTEMS: [SystemKind; 6] = [
-    SystemKind::Pyg,
-    SystemKind::Dgl,
-    SystemKind::GnnAdvisor,
-    SystemKind::GnnLab,
-    SystemKind::PaGraph,
-    SystemKind::FastGl,
-];
-
 #[test]
 fn every_system_on_every_dataset() {
     for dataset in Dataset::ALL {
@@ -29,7 +20,7 @@ fn every_system_on_every_dataset() {
         if data.train_nodes().is_empty() {
             continue;
         }
-        for kind in ALL_SYSTEMS {
+        for kind in SystemKind::ALL {
             let mut sys = kind.build(config());
             let stats = sys.run_epoch(&data, 0);
             assert!(stats.iterations > 0, "{kind} on {dataset}: no iterations");
