@@ -73,11 +73,6 @@ impl ComputeEngine {
         }
     }
 
-    /// Memory-access mode.
-    pub fn mode(&self) -> ComputeMode {
-        self.mode
-    }
-
     /// Simulated computation time of one mini-batch described by
     /// `subgraph` and its per-layer `workloads`.
     ///

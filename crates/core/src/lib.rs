@@ -17,8 +17,8 @@
 //! paper's Fig. 5; [`pipeline::Pipeline`] exposes the same loop with policy
 //! knobs so the baselines (in `fastgl-baselines`) run on an identical
 //! substrate. [`trainer`] runs *real* numeric training for the convergence
-//! study (Fig. 16). [`resilience`] adds deterministic fault injection and
-//! checkpoint/resume on top of both (DESIGN.md §10).
+//! study (Fig. 16). [`resilience`] adds deterministic fault injection to
+//! the pipeline and checkpoint/resume to the trainer (DESIGN.md §10).
 
 #![deny(missing_docs)]
 
@@ -45,8 +45,8 @@ pub use executor::{PipelineExecutor, PipelineWallStats, StageWallStats};
 pub use hotness::{CacheRankPolicy, HotnessCounter};
 pub use pipeline::{CachePolicy, FastGl, Pipeline, PipelinePolicy};
 pub use resilience::{
-    run_epochs_checkpointed, Checkpoint, CheckpointError, FaultInjector, FaultKind, FaultPlan,
-    FaultPlanError, FaultSpec, ResilienceStats, SimOutcome, SimulationState, TrainerState,
+    Checkpoint, CheckpointError, FaultInjector, FaultKind, FaultPlan, FaultPlanError, FaultSpec,
+    ResilienceStats, TrainerState,
 };
 pub use stage_trace::{EpochWindowTrace, WindowPhases};
 pub use system::{EpochStats, TrainingSystem};

@@ -278,11 +278,6 @@ impl Pipeline {
         }
     }
 
-    /// The pipeline's configuration.
-    pub fn config(&self) -> &FastGlConfig {
-        &self.config
-    }
-
     /// Wall-clock busy/stall accounting of the most recent epoch's window
     /// pipeline (`None` before the first epoch). Purely observational:
     /// prefetch depth never changes simulated results.
@@ -295,11 +290,6 @@ impl Pipeline {
     /// thread count or prefetch depth, unlike the wall-clock stats.
     pub fn window_trace(&self) -> Option<&EpochWindowTrace> {
         self.last_trace.as_ref()
-    }
-
-    /// The pipeline's policy.
-    pub fn policy(&self) -> &PipelinePolicy {
-        &self.policy
     }
 
     /// Cumulative fault-recovery accounting over every epoch this
@@ -605,11 +595,6 @@ impl FastGl {
         Self {
             inner: Pipeline::new("FastGL", config, policy),
         }
-    }
-
-    /// The underlying configuration.
-    pub fn config(&self) -> &FastGlConfig {
-        self.inner.config()
     }
 
     /// Wall-clock stage accounting of the most recent epoch's window

@@ -1,4 +1,4 @@
-//! Epoch/batch checkpointing with a bit-exact hand-rolled binary codec.
+//! Trainer checkpointing with a bit-exact hand-rolled binary codec.
 //!
 //! The workspace's `serde` is an offline marker stand-in (no backend), so
 //! checkpoints use the same style of explicit little-endian binary format
@@ -7,17 +7,13 @@
 //! bit patterns (`to_le_bytes`), which is what makes a resumed run
 //! **bit-identical** to an uninterrupted one — no decimal round-trip.
 //!
-//! A checkpoint can carry either or both of:
-//!
-//! * [`TrainerState`] — the numeric trainer's model weights, Adam moments,
-//!   loss trajectories, and batch cursor (mid-epoch, batch-granular);
-//! * [`SimulationState`] — per-epoch [`EpochStats`] of a simulated
-//!   multi-epoch run plus the next epoch to execute (epoch-granular; RNG
-//!   cursors are implicit because every per-batch stream is re-derived
-//!   from the global batch index).
+//! A checkpoint carries one [`TrainerState`]: the numeric trainer's model
+//! weights, Adam moments, loss trajectories, and global-batch cursor
+//! (mid-epoch, batch-granular; RNG cursors are implicit because every
+//! per-batch stream is re-derived from the global batch index). The
+//! flags byte after the version marks the trainer section with bit 0; any
+//! other bit is rejected.
 
-use crate::system::EpochStats;
-use fastgl_gpusim::{PhaseBreakdown, SimTime};
 use fastgl_tensor::{AdamSlotState, AdamState};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -26,6 +22,8 @@ use std::path::{Path, PathBuf};
 const MAGIC: &[u8; 8] = b"FGLCKPT1";
 /// Format version.
 const VERSION: u32 = 1;
+/// Bit of the flags byte that marks a trainer section.
+const TRAINER_FLAG: u8 = 1;
 /// Sanity cap on decoded vector lengths (elements): corrupt length
 /// prefixes must not trigger absurd allocations.
 const MAX_LEN: u64 = 1 << 33;
@@ -89,16 +87,6 @@ pub struct TrainerState {
     pub epoch_batches: u64,
 }
 
-/// The checkpointable state of a simulated multi-epoch run
-/// (see [`crate::resilience::run_epochs_checkpointed`]).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SimulationState {
-    /// The next epoch to simulate.
-    pub next_epoch: u64,
-    /// Statistics of every completed epoch, in order.
-    pub completed: Vec<EpochStats>,
-}
-
 /// A saved training position: everything needed to resume a killed run
 /// and reproduce the uninterrupted run bit-for-bit.
 ///
@@ -107,13 +95,20 @@ pub struct SimulationState {
 /// In-memory round-trip through the binary codec:
 ///
 /// ```
-/// use fastgl_core::resilience::{Checkpoint, SimulationState};
+/// use fastgl_core::resilience::{Checkpoint, TrainerState};
+/// use fastgl_tensor::AdamState;
 ///
 /// let ckpt = Checkpoint {
-///     trainer: None,
-///     simulation: Some(SimulationState {
-///         next_epoch: 2,
-///         completed: vec![Default::default(); 2],
+///     trainer: Some(TrainerState {
+///         seed: 7,
+///         next_batch: 2,
+///         model: vec![0.5, -1.25],
+///         optimizer: AdamState { lr: 0.01, t: 2, slots: Vec::new() },
+///         iteration_losses: vec![1.0, 0.75],
+///         epoch_losses: Vec::new(),
+///         val_accuracy: Vec::new(),
+///         epoch_loss_sum: 1.75,
+///         epoch_batches: 2,
 ///     }),
 /// };
 /// let mut buf = Vec::new();
@@ -132,10 +127,8 @@ pub struct SimulationState {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Checkpoint {
-    /// Numeric-trainer state, if the checkpoint came from a trainer run.
+    /// Numeric-trainer state (`None` only in an empty checkpoint).
     pub trainer: Option<TrainerState>,
-    /// Simulated-run state, if the checkpoint came from a pipeline run.
-    pub simulation: Option<SimulationState>,
 }
 
 impl Checkpoint {
@@ -192,14 +185,14 @@ impl Checkpoint {
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), CheckpointError> {
         w.write_all(MAGIC)?;
         w.write_all(&VERSION.to_le_bytes())?;
-        let flags: u8 =
-            u8::from(self.trainer.is_some()) | (u8::from(self.simulation.is_some()) << 1);
+        let flags = if self.trainer.is_some() {
+            TRAINER_FLAG
+        } else {
+            0
+        };
         w.write_all(&[flags])?;
         if let Some(t) = &self.trainer {
             write_trainer(w, t)?;
-        }
-        if let Some(s) = &self.simulation {
-            write_simulation(w, s)?;
         }
         Ok(())
     }
@@ -209,7 +202,8 @@ impl Checkpoint {
     /// # Errors
     ///
     /// Returns [`CheckpointError::BadFormat`] on wrong magic, unsupported
-    /// version, truncation, or implausible section lengths.
+    /// version, unknown section flags, truncation, or implausible section
+    /// lengths.
     pub fn read_from<R: Read>(mut r: R) -> Result<Self, CheckpointError> {
         let mut magic = [0u8; 8];
         read_exact(&mut r, &mut magic, "magic bytes")?;
@@ -227,20 +221,18 @@ impl Checkpoint {
         }
         let mut flags = [0u8; 1];
         read_exact(&mut r, &mut flags, "section flags")?;
-        let trainer = if flags[0] & 1 != 0 {
+        if flags[0] & !TRAINER_FLAG != 0 {
+            return Err(CheckpointError::BadFormat(format!(
+                "unknown section flags {:#04x} (this build reads only the trainer section)",
+                flags[0]
+            )));
+        }
+        let trainer = if flags[0] == TRAINER_FLAG {
             Some(read_trainer(&mut r)?)
         } else {
             None
         };
-        let simulation = if flags[0] & 2 != 0 {
-            Some(read_simulation(&mut r)?)
-        } else {
-            None
-        };
-        Ok(Self {
-            trainer,
-            simulation,
-        })
+        Ok(Self { trainer })
     }
 }
 
@@ -302,76 +294,6 @@ fn read_trainer<R: Read>(r: &mut R) -> Result<TrainerState, CheckpointError> {
         val_accuracy,
         epoch_loss_sum,
         epoch_batches,
-    })
-}
-
-fn write_simulation<W: Write>(w: &mut W, s: &SimulationState) -> Result<(), CheckpointError> {
-    w.write_all(&s.next_epoch.to_le_bytes())?;
-    w.write_all(&(s.completed.len() as u64).to_le_bytes())?;
-    for e in &s.completed {
-        for v in [
-            e.breakdown.sample.as_nanos(),
-            e.breakdown.io.as_nanos(),
-            e.breakdown.compute.as_nanos(),
-            e.iterations,
-            e.bytes_h2d,
-            e.rows_loaded,
-            e.rows_reused,
-            e.rows_cached,
-            e.edges_sampled,
-            e.id_map_time.as_nanos(),
-            e.peak_memory_bytes,
-        ] {
-            w.write_all(&v.to_le_bytes())?;
-        }
-        for v in [e.l1_hit_rate, e.l2_hit_rate, e.aggregation_gflops] {
-            w.write_all(&v.to_le_bytes())?;
-        }
-    }
-    Ok(())
-}
-
-fn read_simulation<R: Read>(r: &mut R) -> Result<SimulationState, CheckpointError> {
-    let next_epoch = read_u64(r)?;
-    let count = read_len(r, "completed epochs")?;
-    let mut completed = Vec::with_capacity(count.min(1 << 20) as usize);
-    for _ in 0..count {
-        let sample = SimTime::from_nanos(read_u64(r)?);
-        let io = SimTime::from_nanos(read_u64(r)?);
-        let compute = SimTime::from_nanos(read_u64(r)?);
-        let iterations = read_u64(r)?;
-        let bytes_h2d = read_u64(r)?;
-        let rows_loaded = read_u64(r)?;
-        let rows_reused = read_u64(r)?;
-        let rows_cached = read_u64(r)?;
-        let edges_sampled = read_u64(r)?;
-        let id_map_time = SimTime::from_nanos(read_u64(r)?);
-        let peak_memory_bytes = read_u64(r)?;
-        let l1_hit_rate = read_f64(r)?;
-        let l2_hit_rate = read_f64(r)?;
-        let aggregation_gflops = read_f64(r)?;
-        completed.push(EpochStats {
-            breakdown: PhaseBreakdown {
-                sample,
-                io,
-                compute,
-            },
-            iterations,
-            bytes_h2d,
-            rows_loaded,
-            rows_reused,
-            rows_cached,
-            edges_sampled,
-            id_map_time,
-            l1_hit_rate,
-            l2_hit_rate,
-            peak_memory_bytes,
-            aggregation_gflops,
-        });
-    }
-    Ok(SimulationState {
-        next_epoch,
-        completed,
     })
 }
 
@@ -478,19 +400,6 @@ mod tests {
                 epoch_loss_sum: 1.25,
                 epoch_batches: 1,
             }),
-            simulation: Some(SimulationState {
-                next_epoch: 3,
-                completed: vec![
-                    EpochStats {
-                        iterations: 9,
-                        bytes_h2d: 1 << 20,
-                        l1_hit_rate: 0.875,
-                        id_map_time: SimTime::from_micros(13),
-                        ..Default::default()
-                    };
-                    3
-                ],
-            }),
         }
     }
 
@@ -536,11 +445,7 @@ mod tests {
         // fail before it reaches the rename.
         let tmp = temp_path(&path);
         std::fs::create_dir_all(&tmp).unwrap();
-        let newer = Checkpoint {
-            trainer: None,
-            ..sample_checkpoint()
-        };
-        let err = newer.save(&path).unwrap_err();
+        let err = Checkpoint::default().save(&path).unwrap_err();
         assert!(matches!(err, CheckpointError::Io(_)), "{err}");
         assert_eq!(Checkpoint::load(&path).unwrap(), good);
         std::fs::remove_dir(&tmp).unwrap();
@@ -580,6 +485,21 @@ mod tests {
         buf.extend_from_slice(&u64::MAX.to_le_bytes()); // absurd model length
         let err = Checkpoint::read_from(&buf[..]).unwrap_err();
         assert!(err.to_string().contains("implausible length"), "{err}");
+    }
+
+    #[test]
+    fn unknown_section_flags_rejected() {
+        // 0x02 marked a simulation section in files written by older
+        // builds. Each must fail before any section is read.
+        for flags in [0x02u8, 0x03, 0x04, 0x80, 0x81] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(MAGIC);
+            buf.extend_from_slice(&VERSION.to_le_bytes());
+            buf.push(flags);
+            let err = Checkpoint::read_from(&buf[..]).unwrap_err();
+            assert!(matches!(err, CheckpointError::BadFormat(_)), "{flags:#x}");
+            assert!(err.to_string().contains("unknown section flags"), "{err}");
+        }
     }
 
     #[test]

@@ -395,11 +395,6 @@ impl FaultInjector {
         }
     }
 
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// The deterministic retry pricing used for injected transfer errors.
     pub fn retry_model(&self) -> &RetryCostModel {
         &self.model

@@ -17,11 +17,14 @@
 //!   stage replay ([`crate::executor::PipelineExecutor::with_stage_retries`]).
 //!   Every recovery is visible as a telemetry counter
 //!   (`fastgl_telemetry::names`) and in [`ResilienceStats`].
-//! * **Checkpointing** — [`Checkpoint`] serialises model weights,
-//!   optimizer state, the batch/epoch cursor (RNG cursors are implicit:
-//!   per-batch streams re-derive from the global batch index), and
-//!   completed [`EpochStats`], so a killed run resumes **bit-identically**
-//!   — same final weights, same statistics, same simulated time.
+//! * **Checkpointing** — [`Checkpoint`] serialises the numeric trainer's
+//!   model weights, optimizer state, loss trajectories, and global-batch
+//!   cursor (RNG cursors are implicit: per-batch streams re-derive from
+//!   the global batch index), so a killed
+//!   [`crate::trainer::train_resumable`] run resumes **bit-identically** —
+//!   same final weights, same losses. The simulator needs no checkpoint:
+//!   a simulated epoch is a pure function of `(data, epoch)`, so a killed
+//!   simulated run resumes by running its missing epochs again.
 //!
 //! The determinism-under-replay argument: every source of randomness and
 //! every fault trigger is a pure function of the simulated position
@@ -33,17 +36,15 @@
 mod checkpoint;
 mod fault_plan;
 
-pub use checkpoint::{Checkpoint, CheckpointError, SimulationState, TrainerState};
+pub use checkpoint::{Checkpoint, CheckpointError, TrainerState};
 pub use fault_plan::{FaultInjector, FaultKind, FaultPlan, FaultPlanError, FaultSpec};
 
-use crate::system::{EpochStats, TrainingSystem};
 use fastgl_gpusim::SimTime;
-use fastgl_graph::DatasetBundle;
 
 /// Counters of fault-recovery activity during one epoch (all zero on a
 /// fault-free run).
 ///
-/// Kept separate from [`EpochStats`] on purpose: fault-free statistics
+/// Kept separate from [`crate::EpochStats`] on purpose: fault-free statistics
 /// stay byte-identical with or without the resilience layer compiled in,
 /// and the degradation a fault causes shows up *inside* `EpochStats`
 /// (more PCIe bytes, longer IO time) where it belongs.
@@ -104,173 +105,9 @@ impl std::ops::AddAssign for ResilienceStats {
     }
 }
 
-/// The outcome of a checkpointed simulated run: either it finished, or it
-/// was interrupted and left a resumable [`Checkpoint`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum SimOutcome {
-    /// The run completed; the averaged statistics match
-    /// [`TrainingSystem::run_epochs`] bit-for-bit.
-    Complete(EpochStats),
-    /// The run was halted; resume by passing the checkpoint back in.
-    Interrupted(Box<Checkpoint>),
-}
-
-/// Runs `epochs` epochs of `sys` like [`TrainingSystem::run_epochs`], but
-/// resumable: `resume` continues from a previous [`Checkpoint`], and
-/// `halt_after` (a total completed-epoch count) simulates a kill.
-///
-/// Epoch `e` of a pipeline is a pure function of `(data, e)` — per-batch
-/// RNG streams derive from the global batch index and fault triggers are
-/// positional — so re-running the remaining epochs after a resume and
-/// re-averaging over the checkpointed prefix reproduces the
-/// uninterrupted run's [`EpochStats`] (including per-phase [`SimTime`])
-/// bit-for-bit, at any `FASTGL_PREFETCH` × `FASTGL_THREADS` setting.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Mismatch`] if `resume` lacks a simulation
-/// section or does not fit `epochs`.
-pub fn run_epochs_checkpointed<S: TrainingSystem + ?Sized>(
-    sys: &mut S,
-    data: &DatasetBundle,
-    epochs: u64,
-    resume: Option<&Checkpoint>,
-    halt_after: Option<u64>,
-) -> Result<SimOutcome, CheckpointError> {
-    assert!(epochs > 0, "need at least one epoch");
-    let mut completed: Vec<EpochStats> = match resume {
-        None => Vec::new(),
-        Some(ckpt) => {
-            let sim = ckpt.simulation.as_ref().ok_or_else(|| {
-                CheckpointError::Mismatch(
-                    "checkpoint has no simulation section (was it saved by the numeric trainer?)"
-                        .into(),
-                )
-            })?;
-            if sim.completed.len() as u64 != sim.next_epoch {
-                return Err(CheckpointError::Mismatch(format!(
-                    "checkpoint cursor at epoch {} but {} epochs recorded",
-                    sim.next_epoch,
-                    sim.completed.len()
-                )));
-            }
-            if sim.next_epoch > epochs {
-                return Err(CheckpointError::Mismatch(format!(
-                    "checkpoint already ran {} epochs but this run wants {epochs}",
-                    sim.next_epoch
-                )));
-            }
-            sim.completed.clone()
-        }
-    };
-    for e in completed.len() as u64..epochs {
-        if let Some(halt) = halt_after {
-            if e >= halt {
-                return Ok(SimOutcome::Interrupted(Box::new(Checkpoint {
-                    trainer: None,
-                    simulation: Some(SimulationState {
-                        next_epoch: e,
-                        completed,
-                    }),
-                })));
-            }
-        }
-        completed.push(sys.run_epoch(data, e));
-    }
-    Ok(SimOutcome::Complete(EpochStats::average(&completed)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastgl_gpusim::PhaseBreakdown;
-    use fastgl_graph::Dataset;
-
-    /// A system whose epoch stats depend on the epoch index, to catch
-    /// resume-at-wrong-epoch bugs.
-    struct Synthetic;
-
-    impl TrainingSystem for Synthetic {
-        fn name(&self) -> &'static str {
-            "synthetic"
-        }
-
-        fn run_epoch(&mut self, _data: &DatasetBundle, epoch: u64) -> EpochStats {
-            EpochStats {
-                breakdown: PhaseBreakdown {
-                    sample: SimTime::from_micros(epoch + 1),
-                    ..Default::default()
-                },
-                iterations: 3,
-                bytes_h2d: 100 * (epoch + 1),
-                l1_hit_rate: 0.5 + epoch as f64 * 0.01,
-                ..Default::default()
-            }
-        }
-    }
-
-    fn bundle() -> DatasetBundle {
-        Dataset::Products.generate_scaled(1.0 / 4096.0, 7)
-    }
-
-    #[test]
-    fn uninterrupted_matches_run_epochs() {
-        let data = bundle();
-        let direct = Synthetic.run_epochs(&data, 5);
-        let via = run_epochs_checkpointed(&mut Synthetic, &data, 5, None, None).unwrap();
-        assert_eq!(via, SimOutcome::Complete(direct));
-    }
-
-    #[test]
-    fn kill_and_resume_is_bit_identical() {
-        let data = bundle();
-        let full = Synthetic.run_epochs(&data, 6);
-        let SimOutcome::Interrupted(ckpt) =
-            run_epochs_checkpointed(&mut Synthetic, &data, 6, None, Some(2)).unwrap()
-        else {
-            panic!("expected an interruption")
-        };
-        let resumed = run_epochs_checkpointed(&mut Synthetic, &data, 6, Some(&ckpt), None).unwrap();
-        assert_eq!(resumed, SimOutcome::Complete(full));
-    }
-
-    #[test]
-    fn halt_past_the_end_completes() {
-        let data = bundle();
-        let out = run_epochs_checkpointed(&mut Synthetic, &data, 3, None, Some(99)).unwrap();
-        assert!(matches!(out, SimOutcome::Complete(_)));
-    }
-
-    #[test]
-    fn mismatched_checkpoints_are_typed_errors() {
-        let data = bundle();
-        let no_sim = Checkpoint::default();
-        let err =
-            run_epochs_checkpointed(&mut Synthetic, &data, 3, Some(&no_sim), None).unwrap_err();
-        assert!(err.to_string().contains("no simulation section"));
-
-        let inconsistent = Checkpoint {
-            trainer: None,
-            simulation: Some(SimulationState {
-                next_epoch: 2,
-                completed: vec![EpochStats::default()],
-            }),
-        };
-        let err = run_epochs_checkpointed(&mut Synthetic, &data, 3, Some(&inconsistent), None)
-            .unwrap_err();
-        assert!(err.to_string().contains("cursor"));
-
-        let overran = Checkpoint {
-            trainer: None,
-            simulation: Some(SimulationState {
-                next_epoch: 5,
-                completed: vec![EpochStats::default(); 5],
-            }),
-        };
-        let err =
-            run_epochs_checkpointed(&mut Synthetic, &data, 3, Some(&overran), None).unwrap_err();
-        assert!(err.to_string().contains("already ran"));
-    }
 
     #[test]
     fn resilience_stats_default_is_quiet() {

@@ -224,11 +224,10 @@ pub fn train_resumable(
     let mut next: u64 = 0;
 
     if let Some(ckpt) = resume {
-        let st = ckpt.trainer.as_ref().ok_or_else(|| {
-            CheckpointError::Mismatch(
-                "checkpoint has no trainer section (was it saved by a simulated run?)".into(),
-            )
-        })?;
+        let st = ckpt
+            .trainer
+            .as_ref()
+            .ok_or_else(|| CheckpointError::Mismatch("checkpoint has no trainer section".into()))?;
         if st.seed != config.seed {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpoint was trained with seed {} but this run uses seed {}",
@@ -367,7 +366,6 @@ pub fn train_resumable(
                 epoch_loss_sum,
                 epoch_batches,
             }),
-            simulation: None,
         })));
     }
 

@@ -19,6 +19,15 @@ pub enum GraphIoError {
         /// The offending content.
         content: String,
     },
+    /// An edge names a node outside `0..num_nodes`.
+    NodeOutOfRange {
+        /// 1-based line number.
+        line: usize,
+        /// The out-of-range node ID.
+        node: u64,
+        /// The node count the list is read over.
+        num_nodes: u64,
+    },
 }
 
 impl std::fmt::Display for GraphIoError {
@@ -28,6 +37,14 @@ impl std::fmt::Display for GraphIoError {
             GraphIoError::Parse { line, content } => {
                 write!(f, "cannot parse edge on line {line}: '{content}'")
             }
+            GraphIoError::NodeOutOfRange {
+                line,
+                node,
+                num_nodes,
+            } => write!(
+                f,
+                "edge on line {line} names node {node}, but the graph has {num_nodes} nodes"
+            ),
         }
     }
 }
@@ -46,7 +63,8 @@ impl From<std::io::Error> for GraphIoError {
 ///
 /// # Errors
 ///
-/// Returns [`GraphIoError::Parse`] with the line number on malformed input.
+/// Returns [`GraphIoError::Parse`] with the line number on malformed input
+/// and [`GraphIoError::NodeOutOfRange`] on a node ID `>= num_nodes`.
 pub fn read_edge_list<R: Read>(
     reader: R,
     num_nodes: u64,
@@ -61,11 +79,20 @@ pub fn read_edge_list<R: Read>(
         }
         let mut parts = trimmed.split_whitespace();
         let parse = |part: Option<&str>| -> Result<u64, GraphIoError> {
-            part.and_then(|p| p.parse().ok())
+            let node = part
+                .and_then(|p| p.parse().ok())
                 .ok_or_else(|| GraphIoError::Parse {
                     line: idx + 1,
                     content: trimmed.to_string(),
-                })
+                })?;
+            if node >= num_nodes {
+                return Err(GraphIoError::NodeOutOfRange {
+                    line: idx + 1,
+                    node,
+                    num_nodes,
+                });
+            }
+            Ok(node)
         };
         let u = parse(parts.next())?;
         let v = parse(parts.next())?;
@@ -117,6 +144,41 @@ mod tests {
             Err(GraphIoError::Parse { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn edge_list_in_range_is_unchanged() {
+        let g = read_edge_list("0 1\n3 2\n1 3\n".as_bytes(), 4, false).unwrap();
+        let edges: Vec<(u64, u64)> = g.edges().map(|(u, v)| (u.0, v.0)).collect();
+        assert_eq!(edges, [(0, 1), (1, 3), (3, 2)]);
+    }
+
+    #[test]
+    fn edge_list_rejects_nodes_out_of_range() {
+        // Wrapping modulo the node count would read `6 3` as 2→3 and `5 1`
+        // as a self-loop that the builder drops.
+        for (text, line, node) in [("0 1\n6 3\n", 2, 6), ("5 1\n", 1, 5), ("0 4\n", 1, 4)] {
+            match read_edge_list(text.as_bytes(), 4, false) {
+                Err(GraphIoError::NodeOutOfRange {
+                    line: l,
+                    node: n,
+                    num_nodes: 4,
+                }) => assert_eq!((l, n), (line, node), "{text:?}"),
+                other => panic!("expected an out-of-range error for {text:?}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn edge_list_over_zero_nodes_is_an_error() {
+        // Every ID is out of range, so this must not reach the builder's
+        // remainder by zero.
+        let err = read_edge_list("0 0\n".as_bytes(), 0, true).unwrap_err();
+        assert!(
+            matches!(err, GraphIoError::NodeOutOfRange { num_nodes: 0, .. }),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("line 1"), "{err}");
     }
 
     #[test]
