@@ -526,6 +526,74 @@ mod tests {
     }
 
     #[test]
+    fn zero_in_a_skips_non_finite_b_in_matmul_and_t_a() {
+        // Row 0 of `a` is [0, 1]; B's row 0 holds the non-finite values.
+        let a = Matrix::from_vec(1, 2, vec![0.0, 1.0]);
+        let b = Matrix::from_vec(
+            2,
+            3,
+            vec![f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 2.0, 3.0, 4.0],
+        );
+        assert_eq!(a.matmul(&b).as_slice(), &[2.0, 3.0, 4.0]);
+        // The same product with `a` stored transposed: (aᵀ)ᵀ · b.
+        assert_eq!(
+            a.transpose().matmul_transpose_a(&b).as_slice(),
+            &[2.0, 3.0, 4.0]
+        );
+    }
+
+    #[test]
+    fn t_b_does_not_skip_zero_times_non_finite() {
+        let a = Matrix::from_vec(1, 2, vec![0.0, 1.0]);
+        // Rows of `b` are the columns of the product's right operand.
+        let b = Matrix::from_vec(
+            3,
+            2,
+            vec![f32::INFINITY, 2.0, f32::NEG_INFINITY, 3.0, f32::NAN, 4.0],
+        );
+        let out = a.matmul_transpose_b(&b);
+        assert!(out.as_slice().iter().all(|x| x.is_nan()), "{out:?}");
+    }
+
+    #[test]
+    fn all_zero_row_of_a_gives_positive_zero() {
+        let a = Matrix::from_vec(2, 2, vec![0.0, 0.0, -0.0, 0.0]);
+        let b = Matrix::from_vec(2, 2, vec![-1.0, -2.0, -3.0, -4.0]);
+        let positive_zero = |m: &Matrix| m.as_slice().iter().all(|x| x.to_bits() == 0);
+        assert!(positive_zero(&a.matmul(&b)));
+        assert!(positive_zero(&a.transpose().matmul_transpose_a(&b)));
+        assert!(positive_zero(&a.matmul_transpose_b(&b)));
+    }
+
+    #[test]
+    fn zero_sized_dimensions() {
+        // k = 0: every output element is the empty sum, +0.0.
+        let zero_k = Matrix::zeros(3, 0).matmul(&Matrix::zeros(0, 5));
+        assert_eq!((zero_k.rows(), zero_k.cols()), (3, 5));
+        assert!(zero_k.as_slice().iter().all(|x| x.to_bits() == 0));
+        let t_a = Matrix::zeros(0, 3).matmul_transpose_a(&Matrix::zeros(0, 5));
+        assert_eq!((t_a.rows(), t_a.cols()), (3, 5));
+        assert!(t_a.as_slice().iter().all(|x| x.to_bits() == 0));
+        let t_b = Matrix::zeros(3, 0).matmul_transpose_b(&Matrix::zeros(5, 0));
+        assert_eq!((t_b.rows(), t_b.cols()), (3, 5));
+        assert!(t_b.as_slice().iter().all(|x| x.to_bits() == 0));
+        // m = 0 and n = 0: empty outputs of the right shape.
+        let b = Matrix::from_vec(2, 2, vec![1.0; 4]);
+        let zero_m = Matrix::zeros(0, 2).matmul(&b);
+        assert_eq!((zero_m.rows(), zero_m.cols()), (0, 2));
+        let zero_n = b.matmul(&Matrix::zeros(2, 0));
+        assert_eq!((zero_n.rows(), zero_n.cols()), (2, 0));
+        let t_a_m = Matrix::zeros(2, 0).matmul_transpose_a(&b);
+        assert_eq!((t_a_m.rows(), t_a_m.cols()), (0, 2));
+        let t_a_n = b.matmul_transpose_a(&Matrix::zeros(2, 0));
+        assert_eq!((t_a_n.rows(), t_a_n.cols()), (2, 0));
+        let t_b_m = Matrix::zeros(0, 2).matmul_transpose_b(&b);
+        assert_eq!((t_b_m.rows(), t_b_m.cols()), (0, 2));
+        let t_b_n = b.matmul_transpose_b(&Matrix::zeros(0, 2));
+        assert_eq!((t_b_n.rows(), t_b_n.cols()), (2, 0));
+    }
+
+    #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn matmul_shape_mismatch_panics() {
         let a = Matrix::zeros(2, 3);
