@@ -53,17 +53,34 @@ fn fanout_block(num_dst: usize, num_src: usize, deg: usize) -> Block {
 
 #[test]
 fn matmul_bit_identical_across_thread_counts() {
-    let a = filled(300, 150, 1);
-    let b = filled(150, 90, 2);
-    let baseline = with_threads(1, || a.matmul(&b));
+    // Every product sums over k = 300, which crosses the kernel's k-panel
+    // boundary (256) mid-sum; ReLU zeros in `a` exercise the zero skip.
+    let a = filled(150, 300, 1).map(|x| x.max(0.0));
+    let b = filled(300, 90, 2);
+    let c = filled(300, 70, 3);
+    let d = filled(90, 300, 4);
+    let products = || {
+        (
+            a.matmul(&b),
+            b.matmul_transpose_a(&c),
+            a.matmul_transpose_b(&d),
+        )
+    };
+    let baseline = with_threads(1, products);
     for threads in [1usize, 2, 8] {
         for run in 0..2 {
-            let got = with_threads(threads, || a.matmul(&b));
-            assert_eq!(
-                got.as_slice(),
-                baseline.as_slice(),
-                "matmul diverged at {threads} threads (run {run})"
-            );
+            let got = with_threads(threads, products);
+            for (name, got, want) in [
+                ("matmul", &got.0, &baseline.0),
+                ("matmul_transpose_a", &got.1, &baseline.1),
+                ("matmul_transpose_b", &got.2, &baseline.2),
+            ] {
+                assert_eq!(
+                    got.as_slice(),
+                    want.as_slice(),
+                    "{name} diverged at {threads} threads (run {run})"
+                );
+            }
         }
     }
 }

@@ -5,8 +5,9 @@
 //! modelling. This crate supplies the dense half of a GNN layer — the
 //! *update* phase of Eq. 2 — plus losses and optimisers:
 //!
-//! * [`Matrix`] — row-major `f32` matrices with blocked matmul and the
-//!   transposed variants backward passes need.
+//! * [`Matrix`] — row-major `f32` matrices with a register-tiled,
+//!   `k`-blocked matmul (AVX2 when the CPU has it) and the transposed
+//!   variants backward passes need.
 //! * [`ops`] — activations and row-wise softmax utilities.
 //! * [`loss`] — softmax cross-entropy with gradient, and accuracy.
 //! * [`optim`] — plain SGD and Adam.
@@ -19,6 +20,7 @@
 
 #![warn(missing_docs)]
 
+mod gemm;
 pub mod init;
 pub mod loss;
 pub mod matrix;

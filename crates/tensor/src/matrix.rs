@@ -3,26 +3,18 @@
 //! The compute kernels (`matmul` and its transposed variants, the
 //! elementwise ops) run on the workspace's deterministic fork-join backend
 //! ([`crate::parallel`]): output rows are partitioned into contiguous
-//! chunks, each chunk is computed with the exact serial loop, and every
-//! per-element reduction keeps its fixed k-ascending accumulation order —
-//! so results are bit-identical at any thread count, and inputs below the
-//! per-kernel cutoffs never leave the calling thread.
+//! chunks, and inputs below the per-kernel cutoffs never leave the calling
+//! thread. The three matmuls share one register-tiled micro-kernel
+//! (`gemm.rs`) that reads transposed operands in place and keeps every
+//! output element's k-ascending accumulation order, so results are
+//! bit-identical to the plain triple loop at any thread count and on any
+//! instruction set the kernel dispatches to.
 
+use crate::gemm::{self, Lhs};
 use crate::parallel;
 use fastgl_telemetry::names;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
-
-/// Output-column stripe width of the matmul inner kernel. A 128-element
-/// stripe of the output row plus the matching stripe of one `rhs` row is
-/// 1 KiB — both stay L1-resident while the k loop streams over `rhs` rows.
-const MATMUL_J_BLOCK: usize = 128;
-
-/// Rows of output each matmul worker claims at minimum, sized so a chunk
-/// amortises spawn/join over [`parallel::MATMUL_GRAIN_FLOPS`] multiply-adds.
-fn matmul_grain_rows(flops_per_row: usize) -> usize {
-    (parallel::MATMUL_GRAIN_FLOPS / flops_per_row.max(1)).max(1)
-}
 
 /// A dense row-major `f32` matrix.
 ///
@@ -140,11 +132,11 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Matrix product `self · rhs` using an ikj loop order (streams rows of
-    /// `rhs`, cache-friendly for row-major data), parallelised over
-    /// contiguous output-row chunks with the j loop blocked to L1-sized
-    /// stripes. Every output element accumulates in k-ascending order, so
-    /// the result is bit-identical at any thread count.
+    /// Matrix product `self · rhs` on the register-tiled kernel of
+    /// `gemm.rs`, parallelised over contiguous output-row chunks. Every
+    /// output element accumulates in k-ascending order and skips terms whose
+    /// `self` entry is `0.0`, so the result is bit-identical at any thread
+    /// count.
     ///
     /// # Panics
     ///
@@ -163,44 +155,20 @@ impl Matrix {
             names::TENSOR_MATMUL_FLOPS,
             2 * (self.rows * self.cols * rhs.cols) as u64,
         );
-        let n = rhs.cols;
-        let mut out = Matrix::zeros(self.rows, n);
-        if n == 0 {
-            return out;
-        }
-        let grain = matmul_grain_rows(self.cols * n);
-        parallel::par_row_chunks_mut(&mut out.data, n, grain, |first_row, chunk| {
-            for (di, out_row) in chunk.chunks_mut(n).enumerate() {
-                let a_row = self.row(first_row + di);
-                let mut j0 = 0;
-                while j0 < n {
-                    let j1 = (j0 + MATMUL_J_BLOCK).min(n);
-                    let out_stripe = &mut out_row[j0..j1];
-                    for (k, &a) in a_row.iter().enumerate() {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let b_stripe = &rhs.row(k)[j0..j1];
-                        for (o, &b) in out_stripe.iter_mut().zip(b_stripe) {
-                            *o += a * b;
-                        }
-                    }
-                    j0 = j1;
-                }
-            }
-        });
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let lhs = Lhs {
+            data: &self.data,
+            row_stride: self.cols,
+            col_stride: 1,
+        };
+        gemm::gemm::<true>(lhs, &rhs.data, rhs.rows, rhs.cols, &mut out.data);
         out
     }
 
-    /// `selfᵀ · rhs`, without materialising the transpose (backward pass
-    /// weight gradient: `dW = Xᵀ · dY`).
-    ///
-    /// Parallelised over contiguous chunks of *output* rows (= columns `k`
-    /// of `self`): each worker owns a disjoint `k` range and scans all rows
-    /// `i` of the inputs in ascending order, so every output element keeps
-    /// the serial i-ascending accumulation order with no write conflicts.
-    /// The tradeoff is that each worker re-reads the inputs, which is cheap
-    /// relative to the multiply-adds it owns.
+    /// `selfᵀ · rhs`, reading `self` in place (backward pass weight
+    /// gradient: `dW = Xᵀ · dY`). Output rows (= columns of `self`) are
+    /// split across workers; each element sums over rows of the inputs in
+    /// ascending order and skips terms whose `self` entry is `0.0`.
     ///
     /// # Panics
     ///
@@ -219,33 +187,19 @@ impl Matrix {
             names::TENSOR_MATMUL_FLOPS,
             2 * (self.rows * self.cols * rhs.cols) as u64,
         );
-        let n = rhs.cols;
-        let mut out = Matrix::zeros(self.cols, n);
-        if n == 0 {
-            return out;
-        }
-        let grain = matmul_grain_rows(self.rows * n);
-        parallel::par_row_chunks_mut(&mut out.data, n, grain, |first_k, chunk| {
-            let k_range = first_k..first_k + chunk.len() / n;
-            for i in 0..self.rows {
-                let a_row = &self.row(i)[k_range.clone()];
-                let b_row = rhs.row(i);
-                for (dk, &a) in a_row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let out_row = &mut chunk[dk * n..(dk + 1) * n];
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += a * b;
-                    }
-                }
-            }
-        });
+        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        let lhs = Lhs {
+            data: &self.data,
+            row_stride: 1,
+            col_stride: self.cols,
+        };
+        gemm::gemm::<true>(lhs, &rhs.data, rhs.rows, rhs.cols, &mut out.data);
         out
     }
 
-    /// `self · rhsᵀ`, without materialising the transpose (backward pass
-    /// input gradient: `dX = dY · Wᵀ`).
+    /// `self · rhsᵀ` (backward pass input gradient: `dX = dY · Wᵀ`). The
+    /// small `rhs` is transposed once per call; every output element is a
+    /// k-ascending dot product with no term skipped.
     ///
     /// # Panics
     ///
@@ -264,25 +218,14 @@ impl Matrix {
             names::TENSOR_MATMUL_FLOPS,
             2 * (self.rows * self.cols * rhs.rows) as u64,
         );
-        let n = rhs.rows;
-        let mut out = Matrix::zeros(self.rows, n);
-        if n == 0 {
-            return out;
-        }
-        let grain = matmul_grain_rows(self.cols.max(1) * n);
-        parallel::par_row_chunks_mut(&mut out.data, n, grain, |first_row, chunk| {
-            for (di, out_row) in chunk.chunks_mut(n).enumerate() {
-                let a_row = self.row(first_row + di);
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = rhs.row(j);
-                    let mut acc = 0.0;
-                    for (&a, &b) in a_row.iter().zip(b_row) {
-                        acc += a * b;
-                    }
-                    *o = acc;
-                }
-            }
-        });
+        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        let lhs = Lhs {
+            data: &self.data,
+            row_stride: self.cols,
+            col_stride: 1,
+        };
+        let rhs_t = rhs.transpose();
+        gemm::gemm::<false>(lhs, &rhs_t.data, rhs_t.rows, rhs_t.cols, &mut out.data);
         out
     }
 
