@@ -179,6 +179,7 @@ impl FeatureCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node_set_oracle as oracle;
     use fastgl_graph::GraphBuilder;
 
     /// Star graph: node 0 has degree 4, others degree 1.
@@ -277,5 +278,68 @@ mod tests {
     #[should_panic(expected = "outside [0, 1]")]
     fn eviction_rejects_bad_fraction() {
         let _ = FeatureCache::degree_ordered(&star(), 2, 8).evict_fraction(1.5);
+    }
+
+    #[test]
+    fn contains_and_partition_match_the_merge_oracle() {
+        let cases = oracle::cases();
+        let probes: Vec<NodeId> = [
+            0,
+            1,
+            62,
+            63,
+            64,
+            65,
+            127,
+            128,
+            129,
+            4_095,
+            4_096,
+            69_999,
+            70_000,
+            9_999_999,
+            10_000_000,
+            10_000_001,
+            u64::MAX,
+        ]
+        .map(NodeId)
+        .to_vec();
+        for cached in &cases {
+            let cache = FeatureCache::from_ranking(cached, cached.len() as u64, 8);
+            let sorted_cached = oracle::sorted(cached);
+            assert_eq!(cache.rows(), cached.len() as u64);
+            for load in &cases {
+                let load = oracle::sorted(load);
+                assert_eq!(
+                    cache.partition(&load),
+                    oracle::cache_partition(&sorted_cached, &load),
+                    "|cached| = {}, |load| = {}",
+                    cached.len(),
+                    load.len()
+                );
+                for &node in load.iter().chain(&probes) {
+                    assert_eq!(
+                        cache.contains(node),
+                        oracle::cache_contains(&sorted_cached, node),
+                        "{node:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_partition_matches_the_merge_oracle() {
+        // Long enough to split across workers at PARTITION_GRAIN_ROWS.
+        let load: Vec<NodeId> = (0..3 * PARTITION_GRAIN_ROWS as u64 + 17)
+            .map(NodeId)
+            .collect();
+        for cached in oracle::cases() {
+            let cache = FeatureCache::from_ranking(&cached, cached.len() as u64, 8);
+            assert_eq!(
+                cache.partition(&load),
+                oracle::cache_partition(&oracle::sorted(&cached), &load)
+            );
+        }
     }
 }

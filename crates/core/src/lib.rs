@@ -31,6 +31,8 @@ pub mod io;
 pub mod match_reorder;
 pub mod memory_model;
 pub mod multi_gpu;
+#[cfg(test)]
+mod node_set_oracle;
 pub mod pipeline;
 pub mod resilience;
 pub mod sampler;

@@ -61,6 +61,7 @@ pub fn match_load_set(incoming: &[NodeId], resident: &[NodeId]) -> MatchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node_set_oracle as oracle;
 
     fn ids(xs: &[u64]) -> Vec<NodeId> {
         xs.iter().map(|&x| NodeId(x)).collect()
@@ -116,6 +117,23 @@ mod tests {
         assert_eq!(m.load.len() as u64 + m.reused, incoming.len() as u64);
         for n in &m.load {
             assert!(!resident.contains(n), "{n} was resident but loaded");
+        }
+    }
+
+    #[test]
+    fn load_set_matches_the_merge_oracle_on_every_pair() {
+        let sets: Vec<Vec<NodeId>> = oracle::cases().iter().map(|c| oracle::sorted(c)).collect();
+        for incoming in &sets {
+            for resident in &sets {
+                let m = match_load_set(incoming, resident);
+                assert_eq!(
+                    (m.load, m.reused),
+                    oracle::match_load_set(incoming, resident),
+                    "|incoming| = {}, |resident| = {}",
+                    incoming.len(),
+                    resident.len()
+                );
+            }
         }
     }
 }

@@ -23,6 +23,8 @@ pub mod id_map;
 pub mod layer_wise;
 pub mod minibatch;
 pub mod neighbor;
+#[cfg(test)]
+mod oracle;
 pub mod overlap;
 pub mod random_walk;
 pub mod subgraph;

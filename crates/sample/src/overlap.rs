@@ -207,6 +207,46 @@ mod tests {
         assert_eq!(match_degree_matrix(&views), serial);
     }
 
+    fn sorted_cases() -> Vec<Vec<NodeId>> {
+        crate::oracle::cases()
+            .iter()
+            .map(|c| crate::oracle::sorted(c))
+            .collect()
+    }
+
+    #[test]
+    fn degree_matches_the_merge_oracle_on_every_pair() {
+        let sets = sorted_cases();
+        for a in &sets {
+            for b in &sets {
+                assert_eq!(
+                    match_degree(a, b).to_bits(),
+                    crate::oracle::match_degree(a, b).to_bits(),
+                    "|a| = {}, |b| = {}",
+                    a.len(),
+                    b.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn matrix_matches_the_merge_oracle() {
+        let sets = sorted_cases();
+        let expected = crate::oracle::match_degree_matrix(&sets);
+        let bits = |m: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            m.iter()
+                .map(|row| row.iter().map(|d| d.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&match_degree_matrix(&sets)), bits(&expected));
+        let views: Vec<&[NodeId]> = sets.iter().map(Vec::as_slice).collect();
+        assert_eq!(bits(&match_degree_matrix(&views)), bits(&expected));
+        // Windows of one and of none.
+        assert_eq!(match_degree_matrix(&sets[..1]), vec![vec![0.0]]);
+        assert!(match_degree_matrix::<Vec<NodeId>>(&[]).is_empty());
+    }
+
     #[test]
     fn summary_of_trivial_windows() {
         assert_eq!(summarize_matrix(&[]).average, 0.0);

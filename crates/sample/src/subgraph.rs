@@ -134,6 +134,7 @@ impl SampledSubgraph {
         self.sorted.get_or_init(|| {
             let mut ids = self.nodes.clone();
             ids.sort_unstable();
+            debug_assert_eq!(ids.len(), self.nodes.len(), "node list holds duplicates");
             ids
         })
     }
@@ -250,6 +251,14 @@ mod tests {
         let ids = g.sorted_global_ids();
         assert!(ids.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(ids.len(), 4);
+    }
+
+    #[test]
+    fn sorted_ids_match_the_sort_oracle() {
+        for nodes in crate::oracle::cases() {
+            let g = SampledSubgraph::new(nodes.clone(), Vec::new(), Vec::new());
+            assert_eq!(g.sorted_global_ids(), crate::oracle::sorted(&nodes));
+        }
     }
 
     #[test]
