@@ -13,14 +13,16 @@
 //! traffic rather than a crash.
 
 use fastgl_graph::{Csr, NodeId};
+use fastgl_sample::NodeSet;
 use fastgl_telemetry::names;
 
 /// Minimum load rows per worker in [`FeatureCache::partition`].
 ///
-/// Measured on a 2-vCPU x86 VM, the merge costs 5–8 µs per thousand rows
-/// and one fork-join of the backend's scoped threads 60–70 µs, so a split
-/// at a few thousand rows loses time. At this grain each worker merges for
-/// a third to half a millisecond; smaller loads stay on the calling thread.
+/// Measured on a 2-vCPU x86 VM with the sorted-list index this cache used
+/// to keep, a merge cost 5–8 µs per thousand rows and one fork-join of the
+/// backend's scoped threads 60–70 µs, so a split at a few thousand rows
+/// loses time. A bit test costs no more than a merge step, so the grain
+/// stays; smaller loads stay on the calling thread.
 pub const PARTITION_GRAIN_ROWS: usize = 64 * 1024;
 
 /// An immutable set of cached node IDs with membership queries.
@@ -43,11 +45,11 @@ pub const PARTITION_GRAIN_ROWS: usize = 64 * 1024;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeatureCache {
-    /// Sorted cached IDs (the membership index).
-    cached: Vec<u64>,
+    /// The cached IDs as a bitset (the membership index).
+    cached: NodeSet,
     /// The same IDs in hotness-rank order (hottest first), kept so the
     /// cache can shrink to a prefix under memory pressure.
-    by_rank: Vec<u64>,
+    by_rank: Vec<NodeId>,
     row_bytes: u64,
 }
 
@@ -56,12 +58,8 @@ impl FeatureCache {
     /// `row_bytes` of features.
     pub fn degree_ordered(graph: &Csr, rows: u64, row_bytes: u64) -> Self {
         let rows = rows.min(graph.num_nodes());
-        let by_rank: Vec<u64> = graph
-            .nodes_by_degree_desc()
-            .into_iter()
-            .take(rows as usize)
-            .map(|n| n.0)
-            .collect();
+        let mut by_rank = graph.nodes_by_degree_desc();
+        by_rank.truncate(rows as usize);
         Self::from_rank_order(by_rank, row_bytes)
     }
 
@@ -71,20 +69,18 @@ impl FeatureCache {
     pub fn from_ranking(ranking: &[NodeId], rows: u64, row_bytes: u64) -> Self {
         let rows = rows.min(ranking.len() as u64) as usize;
         let mut seen = std::collections::HashSet::with_capacity(rows);
-        let by_rank: Vec<u64> = ranking[..rows]
+        let by_rank: Vec<NodeId> = ranking[..rows]
             .iter()
-            .map(|n| n.0)
-            .filter(|id| seen.insert(*id))
+            .copied()
+            .filter(|&n| seen.insert(n))
             .collect();
         Self::from_rank_order(by_rank, row_bytes)
     }
 
     /// Builds the membership index over an already-deduplicated rank order.
-    fn from_rank_order(by_rank: Vec<u64>, row_bytes: u64) -> Self {
-        let mut cached = by_rank.clone();
-        cached.sort_unstable();
+    fn from_rank_order(by_rank: Vec<NodeId>, row_bytes: u64) -> Self {
         Self {
-            cached,
+            cached: NodeSet::from_ids(&by_rank),
             by_rank,
             row_bytes,
         }
@@ -92,11 +88,7 @@ impl FeatureCache {
 
     /// An empty cache.
     pub fn empty() -> Self {
-        Self {
-            cached: Vec::new(),
-            by_rank: Vec::new(),
-            row_bytes: 0,
-        }
+        Self::from_rank_order(Vec::new(), 0)
     }
 
     /// Number of cached rows.
@@ -111,7 +103,7 @@ impl FeatureCache {
 
     /// Whether `node`'s features are resident.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.cached.binary_search(&node.0).is_ok()
+        self.cached.contains(node)
     }
 
     /// Sheds the coldest `fraction` of the cache (device-memory pressure
@@ -133,31 +125,21 @@ impl FeatureCache {
         (shrunk, evicted)
     }
 
-    /// Splits a **sorted** load list into `(hits, misses)`: hits are served
-    /// by the cache, misses must cross PCIe.
+    /// Splits a load list into `(hits, misses)`: hits are served by the
+    /// cache, misses must cross PCIe and keep the load list's order.
     ///
     /// Parallelised over contiguous ranges of the load list: each worker
-    /// binary-searches its own starting point in the sorted cache and runs
-    /// the two-pointer merge from there, so per-range results concatenate
-    /// to exactly the serial answer.
+    /// bit-tests its own range against the cache's index, so per-range
+    /// results concatenate to exactly the serial answer.
     pub fn partition(&self, load: &[NodeId]) -> (u64, Vec<NodeId>) {
-        debug_assert!(load.windows(2).all(|w| w[0] < w[1]));
         let parts =
             fastgl_tensor::parallel::par_chunk_results(load.len(), PARTITION_GRAIN_ROWS, |range| {
                 let chunk = &load[range];
                 let mut hits = 0u64;
                 let mut misses = Vec::with_capacity(chunk.len());
-                let mut j = match chunk.first() {
-                    Some(first) => self.cached.partition_point(|&c| c < first.0),
-                    None => 0,
-                };
                 for &node in chunk {
-                    while j < self.cached.len() && self.cached[j] < node.0 {
-                        j += 1;
-                    }
-                    if j < self.cached.len() && self.cached[j] == node.0 {
+                    if self.cached.contains(node) {
                         hits += 1;
-                        j += 1;
                     } else {
                         misses.push(node);
                     }

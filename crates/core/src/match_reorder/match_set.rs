@@ -6,6 +6,7 @@
 //! feature rows are fetched from host memory.
 
 use fastgl_graph::NodeId;
+use fastgl_sample::NodeSet;
 
 /// The outcome of one Match step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,10 +20,12 @@ pub struct MatchResult {
 }
 
 /// Computes the Match between `incoming` (the next mini-batch's sorted node
-/// set) and `resident` (the sorted node set currently on the device).
+/// set) and `resident` (the node set currently on the device).
 ///
-/// Both inputs must be sorted ascending and duplicate-free (the form
-/// produced by `SampledSubgraph::sorted_global_ids`).
+/// `incoming` must be sorted ascending and duplicate-free (the form
+/// produced by `SampledSubgraph::sorted_global_ids`); `load` keeps its
+/// order. `resident` may come in any order: it becomes a [`NodeSet`], and
+/// each incoming ID is one bit test against it.
 ///
 /// # Example
 ///
@@ -40,21 +43,13 @@ pub struct MatchResult {
 /// ```
 pub fn match_load_set(incoming: &[NodeId], resident: &[NodeId]) -> MatchResult {
     debug_assert!(incoming.windows(2).all(|w| w[0] < w[1]));
-    debug_assert!(resident.windows(2).all(|w| w[0] < w[1]));
-    let mut load = Vec::new();
-    let mut reused = 0u64;
-    let mut j = 0usize;
-    for &node in incoming {
-        while j < resident.len() && resident[j] < node {
-            j += 1;
-        }
-        if j < resident.len() && resident[j] == node {
-            reused += 1;
-            j += 1;
-        } else {
-            load.push(node);
-        }
-    }
+    let resident = NodeSet::from_ids(resident);
+    let load: Vec<NodeId> = incoming
+        .iter()
+        .copied()
+        .filter(|&n| !resident.contains(n))
+        .collect();
+    let reused = (incoming.len() - load.len()) as u64;
     MatchResult { load, reused }
 }
 

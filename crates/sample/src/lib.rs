@@ -15,7 +15,8 @@
 //!   a genuinely concurrent lock-free execution used in tests.
 //!
 //! [`overlap`] quantifies the node overlap between sampled subgraphs
-//! (*match degree*), the quantity Match-Reorder exploits.
+//! (*match degree*), the quantity Match-Reorder exploits, over the dense
+//! [`NodeSet`] bitsets of [`node_set`].
 
 #![warn(missing_docs)]
 
@@ -23,6 +24,7 @@ pub mod id_map;
 pub mod layer_wise;
 pub mod minibatch;
 pub mod neighbor;
+pub mod node_set;
 #[cfg(test)]
 mod oracle;
 pub mod overlap;
@@ -35,5 +37,6 @@ pub use id_map::{IdMap, IdMapOutput, IdMapStats};
 pub use layer_wise::LayerWiseSampler;
 pub use minibatch::MinibatchPlan;
 pub use neighbor::{NeighborSampler, SampleStats};
+pub use node_set::NodeSet;
 pub use random_walk::RandomWalkSampler;
 pub use subgraph::{Block, SampledSubgraph};

@@ -5,34 +5,11 @@
 //! 93 % on Reddit, which is the headroom the Match-Reorder strategy
 //! converts into saved PCIe traffic.
 
+use crate::node_set::NodeSet;
 use fastgl_graph::NodeId;
 
-/// Size of the intersection of two **sorted** ID slices (merge scan).
-///
-/// Inputs must be sorted ascending and duplicate-free; use
-/// [`crate::subgraph::SampledSubgraph::sorted_global_ids`] to obtain them.
-pub fn intersection_size(a: &[NodeId], b: &[NodeId]) -> usize {
-    debug_assert!(a.windows(2).all(|w| w[0] < w[1]), "a must be sorted unique");
-    debug_assert!(b.windows(2).all(|w| w[0] < w[1]), "b must be sorted unique");
-    let mut i = 0;
-    let mut j = 0;
-    let mut count = 0;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
-}
-
-/// The match degree `M_ij` of two sorted node sets; zero when either is
-/// empty.
+/// The match degree `M_ij` of two duplicate-free node sets, given in any
+/// order; zero when either is empty.
 ///
 /// # Example
 ///
@@ -45,38 +22,36 @@ pub fn intersection_size(a: &[NodeId], b: &[NodeId]) -> usize {
 /// assert!((match_degree(&a, &b) - 2.0 / 3.0).abs() < 1e-12);
 /// ```
 pub fn match_degree(a: &[NodeId], b: &[NodeId]) -> f64 {
+    degree(&NodeSet::from_ids(a), &NodeSet::from_ids(b))
+}
+
+/// `|a ∩ b| / min(|a|, |b|)`, zero when either set is empty.
+fn degree(a: &NodeSet, b: &NodeSet) -> f64 {
     let denom = a.len().min(b.len());
     if denom == 0 {
         return 0.0;
     }
-    intersection_size(a, b) as f64 / denom as f64
+    a.intersection_len(b) as f64 / denom as f64
 }
 
-/// Minimum intersection pairs per worker thread of
-/// [`match_degree_matrix`]; each pair is an `O(|V_i| + |V_j|)` merge scan,
-/// so a handful of pairs already amortises a thread spawn.
-pub const MATCH_PAIR_GRAIN: usize = 4;
-
-/// The symmetric match-degree matrix of a window of node sets, with a zero
-/// diagonal (a subgraph is never matched against itself in Algorithm 1).
+/// The symmetric match-degree matrix of a window of duplicate-free node
+/// sets, with a zero diagonal (a subgraph is never matched against itself
+/// in Algorithm 1).
 ///
-/// The `O(window²)` pairwise sorted-set intersections are independent, so
-/// they run on the shared parallel backend; the matrix is filled from the
-/// per-pair results in a fixed order, making the output bit-identical at
-/// any `FASTGL_THREADS`.
-pub fn match_degree_matrix<S: AsRef<[NodeId]> + Sync>(sets: &[S]) -> Vec<Vec<f64>> {
+/// Each set becomes one [`NodeSet`], and each of the `O(window²)` pairs is
+/// a popcount over the two bitsets, run serially: a window of 8 sets over
+/// 100k nodes is 28 pairs of under 2k words each, far below the cost of a
+/// thread fork.
+pub fn match_degree_matrix<S: AsRef<[NodeId]>>(sets: &[S]) -> Vec<Vec<f64>> {
+    let sets: Vec<NodeSet> = sets.iter().map(|s| NodeSet::from_ids(s.as_ref())).collect();
     let n = sets.len();
-    let pairs: Vec<(usize, usize)> = (0..n)
-        .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
-        .collect();
-    let degrees =
-        fastgl_tensor::parallel::par_map_collect(&pairs, MATCH_PAIR_GRAIN, |_, &(i, j)| {
-            match_degree(sets[i].as_ref(), sets[j].as_ref())
-        });
     let mut m = vec![vec![0.0; n]; n];
-    for (&(i, j), d) in pairs.iter().zip(degrees) {
-        m[i][j] = d;
-        m[j][i] = d;
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let d = degree(&sets[i], &sets[j]);
+            m[i][j] = d;
+            m[j][i] = d;
+        }
     }
     m
 }
@@ -129,15 +104,13 @@ mod tests {
     }
 
     #[test]
-    fn intersection_of_disjoint_is_zero() {
-        assert_eq!(intersection_size(&ids(&[1, 2, 3]), &ids(&[4, 5])), 0);
+    fn degree_of_disjoint_is_zero() {
         assert_eq!(match_degree(&ids(&[1, 2, 3]), &ids(&[4, 5])), 0.0);
     }
 
     #[test]
-    fn intersection_of_identical_is_full() {
+    fn degree_of_identical_is_full() {
         let a = ids(&[1, 5, 9]);
-        assert_eq!(intersection_size(&a, &a), 3);
         assert_eq!(match_degree(&a, &a), 1.0);
     }
 
@@ -145,8 +118,12 @@ mod tests {
     fn partial_overlap() {
         let a = ids(&[1, 2, 3, 4]);
         let b = ids(&[3, 4, 5]);
-        assert_eq!(intersection_size(&a, &b), 2);
         assert!((match_degree(&a, &b) - 2.0 / 3.0).abs() < 1e-12);
+        // Input order does not matter.
+        assert_eq!(
+            match_degree(&ids(&[4, 3, 2, 1]), &ids(&[5, 3, 4])),
+            match_degree(&a, &b)
+        );
     }
 
     #[test]
@@ -187,24 +164,6 @@ mod tests {
         // Pairs: (0,1)=0.5, (0,2)=1.0, (1,2)=0.5 -> avg 2/3, spread 0.5.
         assert!((s.average - 2.0 / 3.0).abs() < 1e-12);
         assert!((s.spread - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn matrix_is_thread_count_invariant() {
-        // 16 sets -> 120 pairs, enough to cross MATCH_PAIR_GRAIN.
-        let sets: Vec<Vec<NodeId>> = (0..16u64)
-            .map(|i| (0..200).map(|k| NodeId(i * 7 + k * 3)).collect())
-            .collect();
-        fastgl_tensor::parallel::set_num_threads(1);
-        let serial = match_degree_matrix(&sets);
-        for threads in [2usize, 8] {
-            fastgl_tensor::parallel::set_num_threads(threads);
-            assert_eq!(match_degree_matrix(&sets), serial, "{threads} threads");
-        }
-        fastgl_tensor::parallel::set_num_threads(0);
-        // Slices work as inputs too (the memoized subgraph form).
-        let views: Vec<&[NodeId]> = sets.iter().map(Vec::as_slice).collect();
-        assert_eq!(match_degree_matrix(&views), serial);
     }
 
     fn sorted_cases() -> Vec<Vec<NodeId>> {

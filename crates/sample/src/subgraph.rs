@@ -11,6 +11,7 @@
 //! by the ID-map process. That list is also what the memory IO phase loads:
 //! one feature row per entry.
 
+use crate::node_set::NodeSet;
 use fastgl_graph::NodeId;
 use std::sync::OnceLock;
 
@@ -128,12 +129,13 @@ impl SampledSubgraph {
     }
 
     /// The subgraph's node set as a sorted slice of global IDs, the form
-    /// the Match process consumes. Sorted once on first call and memoized,
-    /// so the Reorder, Match, and cache stages all share one copy.
+    /// the Match process consumes. Computed once on first call, by
+    /// setting each node's bit in a [`NodeSet`] and scanning it in
+    /// ascending order, and memoized, so the Reorder, Match, and cache
+    /// stages all share one copy.
     pub fn sorted_global_ids(&self) -> &[NodeId] {
         self.sorted.get_or_init(|| {
-            let mut ids = self.nodes.clone();
-            ids.sort_unstable();
+            let ids: Vec<NodeId> = NodeSet::from_ids(&self.nodes).iter().collect();
             debug_assert_eq!(ids.len(), self.nodes.len(), "node list holds duplicates");
             ids
         })

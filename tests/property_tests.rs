@@ -4,7 +4,7 @@ use fastgl::core::match_reorder::{greedy_reorder, match_load_set};
 use fastgl::graph::generate::rmat::{self, RmatConfig};
 use fastgl::graph::{DeterministicRng, GraphBuilder, NodeId};
 use fastgl::sample::id_map::{baseline::BaselineIdMap, fused::FusedIdMap};
-use fastgl::sample::overlap::{intersection_size, match_degree, match_degree_matrix};
+use fastgl::sample::overlap::{match_degree, match_degree_matrix};
 use fastgl::sample::{IdMap, NeighborSampler};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -60,7 +60,8 @@ proptest! {
         for n in &m.load {
             prop_assert!(!resident_set.contains(n));
         }
-        prop_assert_eq!(m.reused as usize, intersection_size(&incoming, &resident));
+        let overlap = incoming.iter().filter(|n| resident_set.contains(n)).count();
+        prop_assert_eq!(m.reused as usize, overlap);
     }
 
     /// Match degree is symmetric and bounded in [0, 1].
