@@ -109,7 +109,8 @@ struct PreparedBatch {
 
 /// The prepare stage: reorders a sampled window through the plan, then
 /// builds each batch's Match load set against the resident set (the
-/// batch that ran last), which it carries from window to window.
+/// batch that ran last), which it carries from window to window. The
+/// resident set is kept only when Match is on.
 struct MatchStage {
     use_match: bool,
     resident: Vec<NodeId>,
@@ -126,11 +127,11 @@ impl MatchStage {
                 let incoming = batch.sg.sorted_global_ids();
                 let (load, reused) = if self.use_match {
                     let m = match_load_set(incoming, &self.resident);
+                    self.resident = incoming.to_vec();
                     (m.load, m.reused)
                 } else {
                     (incoming.to_vec(), 0)
                 };
-                self.resident = incoming.to_vec();
                 PreparedBatch {
                     batch,
                     load,
