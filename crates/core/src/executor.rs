@@ -27,6 +27,7 @@ use crate::match_reorder::greedy_reorder;
 use fastgl_graph::{DeterministicRng, NodeId};
 use fastgl_sample::overlap::match_degree_matrix;
 use fastgl_sample::{MinibatchPlan, SampledSubgraph};
+use fastgl_telemetry::names;
 use std::ops::Range;
 use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
@@ -163,7 +164,6 @@ impl PipelineWallStats {
     /// count and scheduling, and counter totals are pinned invariant
     /// across `FASTGL_THREADS` by the telemetry test suite.
     pub fn emit_telemetry(&self) {
-        use fastgl_telemetry::names;
         for (name_busy, name_in, name_out, st) in [
             (
                 names::PIPELINE_SAMPLE_BUSY_NS,
@@ -224,7 +224,7 @@ fn timed_replayed<O>(
             Ok(out) => return out,
             Err(_) => {
                 st.replays += 1;
-                fastgl_telemetry::counter_add(fastgl_telemetry::names::STAGE_REPLAYS, 1);
+                fastgl_telemetry::counter_add(names::STAGE_REPLAYS, 1);
             }
         }
     }
@@ -296,10 +296,7 @@ impl PipelineExecutor {
         FP: FnMut(usize, W) -> P + Send,
         FE: FnMut(usize, P),
     {
-        fastgl_telemetry::counter_add(
-            fastgl_telemetry::names::PIPELINE_WINDOWS,
-            windows.len() as u64,
-        );
+        fastgl_telemetry::counter_add(names::PIPELINE_WINDOWS, windows.len() as u64);
         let mut stats = PipelineWallStats {
             prefetch: self.prefetch,
             channel_bound: self.prefetch.max(1),
@@ -310,17 +307,23 @@ impl PipelineExecutor {
             for w in windows {
                 let item = timed_replayed(
                     &mut stats.sample,
-                    "pipeline.stage.sample",
+                    names::SPAN_PIPELINE_STAGE_SAMPLE,
                     w,
                     retries,
                     || sample(w),
                 );
-                let prepared = timed(&mut stats.prepare, "pipeline.stage.prepare", w, || {
-                    prepare(w, item)
-                });
-                timed(&mut stats.execute, "pipeline.stage.execute", w, || {
-                    execute(w, prepared)
-                });
+                let prepared = timed(
+                    &mut stats.prepare,
+                    names::SPAN_PIPELINE_STAGE_PREPARE,
+                    w,
+                    || prepare(w, item),
+                );
+                timed(
+                    &mut stats.execute,
+                    names::SPAN_PIPELINE_STAGE_EXECUTE,
+                    w,
+                    || execute(w, prepared),
+                );
             }
             stats.emit_telemetry();
             return stats;
@@ -336,8 +339,13 @@ impl PipelineExecutor {
             let sampler = scope.spawn(move || {
                 let mut st = StageWallStats::default();
                 for w in windows {
-                    let item =
-                        timed_replayed(&mut st, "pipeline.stage.sample", w, retries, || sample(w));
+                    let item = timed_replayed(
+                        &mut st,
+                        names::SPAN_PIPELINE_STAGE_SAMPLE,
+                        w,
+                        retries,
+                        || sample(w),
+                    );
                     let wait = Instant::now();
                     // A closed channel means a downstream stage panicked;
                     // stop producing and let the join surface the panic.
@@ -357,7 +365,9 @@ impl PipelineExecutor {
                         break;
                     };
                     st.stall_in += wait.elapsed();
-                    let prepared = timed(&mut st, "pipeline.stage.prepare", w, || prepare(w, item));
+                    let prepared = timed(&mut st, names::SPAN_PIPELINE_STAGE_PREPARE, w, || {
+                        prepare(w, item)
+                    });
                     let wait = Instant::now();
                     if tx_prepared.send((w, prepared)).is_err() {
                         break;
@@ -373,9 +383,12 @@ impl PipelineExecutor {
                     break;
                 };
                 stats.execute.stall_in += wait.elapsed();
-                timed(&mut stats.execute, "pipeline.stage.execute", w, || {
-                    execute(w, prepared)
-                });
+                timed(
+                    &mut stats.execute,
+                    names::SPAN_PIPELINE_STAGE_EXECUTE,
+                    w,
+                    || execute(w, prepared),
+                );
             }
             sample_st = sampler
                 .join()

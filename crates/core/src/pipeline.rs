@@ -483,7 +483,7 @@ impl TrainingSystem for Pipeline {
     }
 
     fn run_epoch(&mut self, data: &DatasetBundle, epoch: u64) -> EpochStats {
-        let _span = fastgl_telemetry::span("pipeline.epoch")
+        let _span = fastgl_telemetry::span(fastgl_telemetry::names::SPAN_PIPELINE_EPOCH)
             .with_str("system", self.name)
             .with_u64("epoch", epoch);
         self.compute.set_workload_scale(data.spec.scale);

@@ -70,8 +70,8 @@ impl SamplerEngine {
         seeds: &[NodeId],
         rng: &mut DeterministicRng,
     ) -> (SampledSubgraph, SampleStats) {
-        let _span =
-            fastgl_telemetry::span("core.sample_batch").with_u64("seeds", seeds.len() as u64);
+        let _span = fastgl_telemetry::span(fastgl_telemetry::names::SPAN_CORE_SAMPLE_BATCH)
+            .with_u64("seeds", seeds.len() as u64);
         match self.kind {
             SamplerKind::Neighbor => self.neighbor.sample(graph, seeds, self.id_mapper(), rng),
             SamplerKind::RandomWalk => self.walk.sample(graph, seeds, self.id_mapper(), rng),

@@ -284,7 +284,8 @@ pub fn train_resumable(
         if stop == next {
             break;
         }
-        let _epoch_span = fastgl_telemetry::span("trainer.epoch").with_u64("epoch", epoch);
+        let _epoch_span =
+            fastgl_telemetry::span(names::SPAN_TRAINER_EPOCH).with_u64("epoch", epoch);
         let plan = MinibatchPlan::new(train_nodes, config.batch_size, config.seed, epoch);
         let windows = epoch_windows(&plan, config, epoch);
         let batches = (next - epoch_start) as usize..(stop - epoch_start) as usize;
@@ -307,19 +308,19 @@ pub fn train_resumable(
                 let todo = stop - next;
                 for &idx in order.iter().skip(done as usize).take(todo as usize) {
                     let sg = &subgraphs[idx];
-                    let _iter_span = fastgl_telemetry::span("trainer.iteration")
+                    let _iter_span = fastgl_telemetry::span(names::SPAN_TRAINER_ITERATION)
                         .with_u64("nodes", sg.num_nodes());
                     fastgl_telemetry::observe(names::TRAINER_BATCH_NODES, sg.num_nodes());
                     let x = gather(sg);
                     let batch_labels = seed_labels(sg);
                     opt.next_iteration();
                     let logits = {
-                        let _fwd = fastgl_telemetry::span("trainer.forward");
+                        let _fwd = fastgl_telemetry::span(names::SPAN_TRAINER_FORWARD);
                         model.forward(sg, &x)
                     };
                     let out = fastgl_tensor::loss::softmax_cross_entropy(&logits, &batch_labels);
                     {
-                        let _bwd = fastgl_telemetry::span("trainer.backward");
+                        let _bwd = fastgl_telemetry::span(names::SPAN_TRAINER_BACKWARD);
                         model.backward(sg, &out.grad);
                         model.apply_grads(&mut opt);
                     }

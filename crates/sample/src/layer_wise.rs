@@ -54,7 +54,7 @@ impl LayerWiseSampler {
         id_map: &dyn IdMap,
         rng: &mut DeterministicRng,
     ) -> (SampledSubgraph, SampleStats) {
-        let _span = fastgl_telemetry::span("sample.layer_wise")
+        let _span = fastgl_telemetry::span(names::SPAN_SAMPLE_LAYER_WISE)
             .with_u64("seeds", seeds.len() as u64)
             .with_u64("layers", self.layer_budgets.len() as u64);
         let mut stats = SampleStats::default();

@@ -45,7 +45,7 @@ impl RandomWalkSampler {
     ) -> (SampledSubgraph, SampleStats) {
         assert!(self.walk_length > 0, "walk length must be positive");
         assert!(self.num_walks > 0, "need at least one walk");
-        let _span = fastgl_telemetry::span("sample.random_walk")
+        let _span = fastgl_telemetry::span(names::SPAN_SAMPLE_RANDOM_WALK)
             .with_u64("seeds", seeds.len() as u64)
             .with_u64("walk_length", self.walk_length as u64)
             .with_u64("num_walks", self.num_walks as u64);

@@ -1,12 +1,13 @@
-//! Stable metric names shared between the emitting crates and consumers
-//! of the exported `telemetry.json` / chrome trace.
+//! Stable metric and span names shared between the emitting crates and
+//! consumers of the exported `telemetry.json` / chrome trace.
 //!
-//! Every counter and histogram the workspace emits at runtime is named
-//! here; `fastgl-core`'s `registered_names` lint-test snapshots a real
-//! run and asserts each emitted name appears in [`all()`], so a typo'd
-//! metric string fails `cargo test` instead of silently forking a new
-//! time series. Consumers (`fastgl-insight`, CI greps, dashboards) match
-//! on these constants rather than re-typing the strings.
+//! Every counter, histogram and wall-clock span the workspace emits at
+//! runtime is named here; `fastgl-core`'s `registered_names` lint-test
+//! snapshots real runs and asserts each emitted metric name appears in
+//! [`all()`] and each span name in [`spans()`], so a typo'd string fails
+//! `cargo test` instead of silently forking a new time series. Consumers
+//! (`fastgl-insight`, CI greps, dashboards) match on these constants
+//! rather than re-typing the strings.
 //!
 //! All counters are deterministic: increments are driven by the simulated
 //! workload, so totals are identical at any `FASTGL_THREADS` /
@@ -157,6 +158,62 @@ pub const PIPELINE_EXECUTE_STALL_OUT_NS: &str = "pipeline.execute.stall_out_ns";
 /// Execute-stage wall time starved waiting for prepared windows.
 pub const PIPELINE_EXECUTE_STALL_IN_NS: &str = "pipeline.execute.stall_in_ns";
 
+// ---------------------------------------------------------------------
+// Wall-clock spans.
+// ---------------------------------------------------------------------
+
+/// One training epoch of `trainer::train_resumable`.
+pub const SPAN_TRAINER_EPOCH: &str = "trainer.epoch";
+
+/// One training iteration (a mini-batch's gather, forward, backward and
+/// update).
+pub const SPAN_TRAINER_ITERATION: &str = "trainer.iteration";
+
+/// The model's forward pass and loss of one training iteration.
+pub const SPAN_TRAINER_FORWARD: &str = "trainer.forward";
+
+/// The model's backward pass and update of one training iteration.
+pub const SPAN_TRAINER_BACKWARD: &str = "trainer.backward";
+
+/// One dense `A · B`.
+pub const SPAN_TENSOR_MATMUL: &str = "tensor.matmul";
+
+/// One dense `Aᵀ · B`.
+pub const SPAN_TENSOR_MATMUL_T_A: &str = "tensor.matmul_t_a";
+
+/// One dense `A · Bᵀ`.
+pub const SPAN_TENSOR_MATMUL_T_B: &str = "tensor.matmul_t_b";
+
+/// One feature-row gather.
+pub const SPAN_TENSOR_GATHER: &str = "tensor.gather";
+
+/// One k-hop neighbour-sampled mini-batch.
+pub const SPAN_SAMPLE_NEIGHBOR: &str = "sample.neighbor";
+
+/// One layer-wise sampled mini-batch.
+pub const SPAN_SAMPLE_LAYER_WISE: &str = "sample.layer_wise";
+
+/// One random-walk sampled mini-batch.
+pub const SPAN_SAMPLE_RANDOM_WALK: &str = "sample.random_walk";
+
+/// One mini-batch through the simulator's sampler engine.
+pub const SPAN_CORE_SAMPLE_BATCH: &str = "core.sample_batch";
+
+/// One simulated epoch of `Pipeline::run_epoch`.
+pub const SPAN_PIPELINE_EPOCH: &str = "pipeline.epoch";
+
+/// The executor's sample stage, once per window.
+pub const SPAN_PIPELINE_STAGE_SAMPLE: &str = "pipeline.stage.sample";
+
+/// The executor's prepare stage (reorder and Match), once per window.
+pub const SPAN_PIPELINE_STAGE_PREPARE: &str = "pipeline.stage.prepare";
+
+/// The executor's execute stage, once per window.
+pub const SPAN_PIPELINE_STAGE_EXECUTE: &str = "pipeline.stage.execute";
+
+/// One worker's chunk of a parallel-backend fork.
+pub const SPAN_PARALLEL_CHUNK: &str = "parallel.chunk";
+
 /// Every registered metric name: the authoritative list the
 /// `registered_names` lint-test checks runtime emissions against.
 pub fn all() -> &'static [&'static str] {
@@ -203,22 +260,48 @@ pub fn all() -> &'static [&'static str] {
     ]
 }
 
+/// Every registered wall-clock span name: the list the
+/// `registered_names` lint-test checks the spans of runtime events
+/// against.
+pub fn spans() -> &'static [&'static str] {
+    &[
+        SPAN_TRAINER_EPOCH,
+        SPAN_TRAINER_ITERATION,
+        SPAN_TRAINER_FORWARD,
+        SPAN_TRAINER_BACKWARD,
+        SPAN_TENSOR_MATMUL,
+        SPAN_TENSOR_MATMUL_T_A,
+        SPAN_TENSOR_MATMUL_T_B,
+        SPAN_TENSOR_GATHER,
+        SPAN_SAMPLE_NEIGHBOR,
+        SPAN_SAMPLE_LAYER_WISE,
+        SPAN_SAMPLE_RANDOM_WALK,
+        SPAN_CORE_SAMPLE_BATCH,
+        SPAN_PIPELINE_EPOCH,
+        SPAN_PIPELINE_STAGE_SAMPLE,
+        SPAN_PIPELINE_STAGE_PREPARE,
+        SPAN_PIPELINE_STAGE_EXECUTE,
+        SPAN_PARALLEL_CHUNK,
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn registry_has_no_duplicates() {
-        let names = all();
-        let mut sorted: Vec<&str> = names.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), names.len(), "duplicate name in registry");
+        for names in [all(), spans()] {
+            let mut sorted: Vec<&str> = names.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), names.len(), "duplicate name in registry");
+        }
     }
 
     #[test]
     fn names_follow_the_dotted_convention() {
-        for name in all() {
+        for name in all().iter().chain(spans()) {
             assert!(
                 name.contains('.'),
                 "{name}: names are namespaced as subsystem.metric"

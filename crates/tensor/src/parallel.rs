@@ -123,7 +123,7 @@ where
                 continue;
             }
             scope.spawn(move || {
-                let _span = fastgl_telemetry::span("parallel.chunk")
+                let _span = fastgl_telemetry::span(fastgl_telemetry::names::SPAN_PARALLEL_CHUNK)
                     .with_u64("first", range.start as u64)
                     .with_u64("rows", range.len() as u64);
                 f(range.start, head)
@@ -158,9 +158,10 @@ where
             .into_iter()
             .map(|range| {
                 scope.spawn(move || {
-                    let _span = fastgl_telemetry::span("parallel.chunk")
-                        .with_u64("first", range.start as u64)
-                        .with_u64("items", range.len() as u64);
+                    let _span =
+                        fastgl_telemetry::span(fastgl_telemetry::names::SPAN_PARALLEL_CHUNK)
+                            .with_u64("first", range.start as u64)
+                            .with_u64("items", range.len() as u64);
                     f(range)
                 })
             })
