@@ -48,9 +48,11 @@ impl NodeSet {
         let Some(max) = ids.iter().map(|n| n.0).max() else {
             return Self::default();
         };
-        let mut words = vec![0u64; word(max) + 1];
+        // Every ID is at most `max`, so the cast below cannot truncate.
+        let last = usize::try_from(max / 64).expect("the bitset fits the address space");
+        let mut words = vec![0u64; last + 1];
         for n in ids {
-            words[word(n.0)] |= bit(n.0);
+            words[(n.0 / 64) as usize] |= bit(n.0);
         }
         let len = words.iter().map(|w| w.count_ones() as usize).sum();
         Self { words, len }
@@ -68,8 +70,9 @@ impl NodeSet {
 
     /// Whether `node` is a member.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.words
-            .get(word(node.0))
+        usize::try_from(node.0 / 64)
+            .ok()
+            .and_then(|w| self.words.get(w))
             .is_some_and(|w| w & bit(node.0) != 0)
     }
 
@@ -128,11 +131,6 @@ impl Iterator for Iter<'_> {
 }
 
 impl ExactSizeIterator for Iter<'_> {}
-
-/// The word that holds `id`'s bit.
-fn word(id: u64) -> usize {
-    (id / 64) as usize
-}
 
 /// `id`'s bit within its word.
 fn bit(id: u64) -> u64 {
