@@ -44,12 +44,17 @@ pub struct MatchResult {
 pub fn match_load_set(incoming: &[NodeId], resident: &[NodeId]) -> MatchResult {
     debug_assert!(incoming.windows(2).all(|w| w[0] < w[1]));
     let resident = NodeSet::from_ids(resident);
-    let load: Vec<NodeId> = incoming
-        .iter()
-        .copied()
-        .filter(|&n| !resident.contains(n))
-        .collect();
-    let reused = (incoming.len() - load.len()) as u64;
+    // Every ID is written and only the misses advance the cursor, so the
+    // loop has no branch on whether an ID is resident, which a branch
+    // predictor cannot learn.
+    let mut load = vec![NodeId(0); incoming.len()];
+    let mut len = 0;
+    for &node in incoming {
+        load[len] = node;
+        len += usize::from(!resident.contains(node));
+    }
+    load.truncate(len);
+    let reused = (incoming.len() - len) as u64;
     MatchResult { load, reused }
 }
 
