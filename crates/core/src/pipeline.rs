@@ -110,7 +110,9 @@ struct PreparedBatch {
 /// The prepare stage: reorders a sampled window through the plan, then
 /// builds each batch's Match load set against the resident set (the
 /// batch that ran last), which it carries from window to window. The
-/// resident set is kept only when Match is on.
+/// resident set is kept only when Match is on; without Match every node
+/// loads, in the subgraph's own order, because the cache partition needs
+/// no order and nothing else reads the load list's order.
 struct MatchStage {
     use_match: bool,
     resident: Vec<NodeId>,
@@ -124,13 +126,13 @@ impl MatchStage {
             .into_iter()
             .map(|idx| {
                 let batch = slots[idx].take().expect("window index visited once");
-                let incoming = batch.sg.sorted_global_ids();
                 let (load, reused) = if self.use_match {
+                    let incoming = batch.sg.sorted_global_ids();
                     let m = match_load_set(incoming, &self.resident);
                     self.resident = incoming.to_vec();
                     (m.load, m.reused)
                 } else {
-                    (incoming.to_vec(), 0)
+                    (batch.sg.nodes.clone(), 0)
                 };
                 PreparedBatch {
                     batch,
