@@ -131,8 +131,8 @@ impl SampledSubgraph {
     /// The subgraph's node set as a sorted slice of global IDs, the form
     /// the Match process consumes. Computed once on first call, by
     /// setting each node's bit in a [`NodeSet`] and scanning it in
-    /// ascending order, and memoized, so the Reorder, Match, and cache
-    /// stages all share one copy.
+    /// ascending order, and memoized, so the Reorder and Match stages
+    /// share one copy.
     pub fn sorted_global_ids(&self) -> &[NodeId] {
         self.sorted.get_or_init(|| {
             let ids: Vec<NodeId> = NodeSet::from_ids(&self.nodes).iter().collect();
