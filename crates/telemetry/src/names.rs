@@ -162,17 +162,18 @@ pub const PIPELINE_EXECUTE_STALL_IN_NS: &str = "pipeline.execute.stall_in_ns";
 // Wall-clock spans.
 // ---------------------------------------------------------------------
 
-/// One training epoch of `trainer::train_resumable`.
+/// One epoch of the numeric trainer.
 pub const SPAN_TRAINER_EPOCH: &str = "trainer.epoch";
 
 /// One training iteration (a mini-batch's gather, forward, backward and
 /// update).
 pub const SPAN_TRAINER_ITERATION: &str = "trainer.iteration";
 
-/// The model's forward pass and loss of one training iteration.
+/// The model's forward pass in one training iteration.
 pub const SPAN_TRAINER_FORWARD: &str = "trainer.forward";
 
-/// The model's backward pass and update of one training iteration.
+/// The model's backward pass and parameter update in one training
+/// iteration.
 pub const SPAN_TRAINER_BACKWARD: &str = "trainer.backward";
 
 /// One dense `A · B`.
