@@ -157,31 +157,30 @@ pub(crate) struct ProbePass {
 pub(crate) fn linear_probe_pass(ids: &[u64], capacity: usize) -> ProbePass {
     let bits = capacity.trailing_zeros();
     let mask = capacity - 1;
-    // Interleaved `[key + 1, local]` slots; key 0 marks an empty slot, so
-    // the table is zero-initialised memory.
-    let mut table = vec![[0u64; 2]; capacity];
+    // Each slot holds `local + 1` (0 marks an empty slot, so the table is
+    // zero-initialised memory); its key is `unique[local]`.
+    let mut table = vec![0u32; capacity];
     let mut unique = Vec::new();
     let mut locals = Vec::with_capacity(ids.len());
     let mut walk = 0u64;
     for &id in ids {
-        debug_assert_ne!(id, u64::MAX, "u64::MAX is reserved");
-        let key = id.wrapping_add(1);
         let mut slot = fib_hash(id, bits);
         let local = loop {
-            let [k, local] = table[slot];
-            if k == key {
+            let tag = table[slot];
+            if tag == 0 {
+                let local = unique.len();
+                table[slot] = u32::try_from(local + 1).expect("fewer than 2^32 unique IDs");
+                unique.push(id);
                 break local;
             }
-            if k == 0 {
-                let local = unique.len() as u64;
-                table[slot] = [key, local];
-                unique.push(id);
+            let local = tag as usize - 1;
+            if unique[local] == id {
                 break local;
             }
             slot = (slot + 1) & mask;
             walk += 1;
         };
-        locals.push(local);
+        locals.push(local as u64);
     }
     ProbePass {
         unique,
