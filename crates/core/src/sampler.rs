@@ -101,7 +101,6 @@ impl SamplerEngine {
                 let draw_ns = stats.edges_sampled as f64 * cost.gpu_sample_edge_ns;
                 let map_ns = m.total_ids as f64 * cost.gpu_hash_op_ns
                     + m.probes as f64 * cost.gpu_probe_ns
-                    + m.cas_conflicts as f64 * cost.gpu_cas_conflict_ns
                     + m.sync_serializations as f64 * cost.gpu_sync_serialization_ns
                     + m.lookups as f64 * cost.gpu_lookup_ns
                     + ((m.kernel_launches + m.device_syncs) * cost.kernel_launch_ns) as f64;

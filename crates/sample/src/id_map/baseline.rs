@@ -43,7 +43,6 @@ impl IdMap for BaselineIdMap {
                 device_syncs: 2,
                 sync_serializations: unique_ids,
                 lookups: ids.len() as u64,
-                ..Default::default()
             },
             unique: pass.unique,
             locals: pass.locals,
@@ -78,7 +77,6 @@ mod tests {
         assert_eq!(s.lookups, 4);
         assert_eq!(s.kernel_launches, 3);
         assert_eq!(s.device_syncs, 2);
-        assert_eq!(s.cas_conflicts, 0);
     }
 
     #[test]

@@ -37,8 +37,6 @@ pub struct IdMapStats {
     pub unique_ids: u64,
     /// Linear-probe steps beyond the first slot.
     pub probes: u64,
-    /// CAS operations that lost a race and retried (parallel execution).
-    pub cas_conflicts: u64,
     /// Kernel launches.
     pub kernel_launches: u64,
     /// Device-wide synchronizations between kernels.
@@ -56,7 +54,6 @@ impl IdMapStats {
         self.total_ids += other.total_ids;
         self.unique_ids += other.unique_ids;
         self.probes += other.probes;
-        self.cas_conflicts += other.cas_conflicts;
         self.kernel_launches += other.kernel_launches;
         self.device_syncs += other.device_syncs;
         self.sync_serializations += other.sync_serializations;

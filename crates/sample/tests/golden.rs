@@ -91,7 +91,6 @@ fn fused_map_output_is_pinned() {
             total_ids: 74,
             unique_ids: 47,
             probes: 2,
-            cas_conflicts: 0,
             kernel_launches: 4,
             device_syncs: 2,
             sync_serializations: 0,
@@ -108,7 +107,6 @@ fn baseline_map_output_is_pinned() {
             total_ids: 74,
             unique_ids: 47,
             probes: 3,
-            cas_conflicts: 0,
             kernel_launches: 6,
             device_syncs: 4,
             sync_serializations: 47,

@@ -38,13 +38,6 @@ proptest! {
         prop_assert_eq!(a.locals, b.locals);
     }
 
-    /// The concurrent fused map is a valid bijection under real threads.
-    #[test]
-    fn parallel_fused_map_valid(ids in prop::collection::vec(0u64..2_000, 1..3_000)) {
-        let out = FusedIdMap { threads: 4, ..FusedIdMap::new() }.map_parallel(&ids);
-        prop_assert!(out.verify(&ids).is_ok());
-    }
-
     /// Match partitions the incoming set: load ∪ overlap = incoming,
     /// load ∩ resident = ∅, and counts add up.
     #[test]
