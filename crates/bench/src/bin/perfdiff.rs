@@ -13,7 +13,7 @@
 //! Exit codes: `0` clean, `1` regressions found, `2` usage error or
 //! incomparable runs.
 
-use fastgl_insight::perfdiff::diff_dirs;
+use fastgl_bench::perfdiff::diff_dirs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 

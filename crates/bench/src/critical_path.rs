@@ -22,7 +22,7 @@ use fastgl_gpusim::{PhaseBreakdown, SimTime};
 use std::time::Duration;
 
 /// The pipeline stage a window spends most of its visible time in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BindingStage {
     /// Neighbour sampling (after overlap hiding).
     Sample,
@@ -54,7 +54,7 @@ impl BindingStage {
 }
 
 /// One window's attribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct WindowAttribution {
     /// Window index in execution order.
     pub index: usize,
@@ -68,7 +68,7 @@ pub struct WindowAttribution {
 }
 
 /// How many windows each stage binds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Default)]
 pub struct BindingHistogram {
     /// Windows bound by (visible) sampling.
     pub sample: usize,
@@ -95,7 +95,7 @@ impl BindingHistogram {
 }
 
 /// The full critical-path analysis of one epoch.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct CriticalPath {
     /// Per-window attribution, in execution order.
     pub windows: Vec<WindowAttribution>,
@@ -105,8 +105,6 @@ pub struct CriticalPath {
     pub breakdown: PhaseBreakdown,
     /// Sampling time the overlap model hid behind training.
     pub hidden_sample: SimTime,
-    /// Whether the run overlapped sampling (dedicated sampler GPUs).
-    pub overlap_sample: bool,
 }
 
 impl CriticalPath {
@@ -147,7 +145,6 @@ pub fn analyze(trace: &EpochWindowTrace) -> CriticalPath {
         histogram,
         breakdown: trace.visible_breakdown(),
         hidden_sample: trace.hidden_sample(),
-        overlap_sample: trace.overlap_sample,
     }
 }
 
@@ -190,7 +187,7 @@ impl StallVerdict {
 }
 
 /// One executor stage's wall-time attribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct StageWallAttribution {
     /// Stage name ("sample", "prepare", "execute").
     pub stage: &'static str,

@@ -1,27 +1,28 @@
 //! Critical-path and memory-hierarchy attribution of a FastGL run.
 //!
-//! This is `fastgl-insight` driven end to end: run the full pipeline with
-//! telemetry recording, then answer the two questions the paper's
-//! analysis sections revolve around — *which stage binds each mini-batch
-//! window* (Fig. 1's breakdown, but per window instead of per epoch, with
-//! the overlap model's hidden time called out) and *which level of the
-//! memory hierarchy served the bytes* (the §4.2/Fig. 10 story, folded
-//! from the runtime counters).
+//! Runs the full pipeline with telemetry recording, then answers the two
+//! questions the paper's analysis sections revolve around — *which stage
+//! binds each mini-batch window* (Fig. 1's breakdown, but per window
+//! instead of per epoch, with the overlap model's hidden time called out)
+//! and *which level of the memory hierarchy served the bytes* (the
+//! §4.2/Fig. 10 story, folded from the runtime counters).
 //!
 //! Every table except the wall-clock stall attribution is simulated and
 //! deterministic, so this report diffs under `perfdiff`'s exact tier; the
 //! per-window visible times sum to the epoch total to the nanosecond
-//! (asserted here, and pinned by `fastgl-insight`'s integration tests).
+//! (asserted here, and pinned on the window trace by `fastgl-core`'s
+//! `tests/determinism.rs`). The analyses themselves live in the crate's
+//! private `critical_path` and `memory` modules.
 
+use crate::critical_path::{self, BindingStage, CriticalPath};
 use crate::experiments::base_config;
+use crate::memory::MemoryAttribution;
 use crate::report::{fmt_bytes, fmt_pct, fmt_secs, Report, Table};
 use crate::scale::BenchScale;
 use fastgl_core::{
     CachePolicy, CacheRankPolicy, EpochStats, FastGl, Pipeline, PipelinePolicy, TrainingSystem,
 };
 use fastgl_graph::Dataset;
-use fastgl_insight::critical_path::{self, BindingStage, CriticalPath};
-use fastgl_insight::MemoryAttribution;
 
 fn fmt_dur(t: fastgl_gpusim::SimTime) -> String {
     fmt_secs(t.as_secs_f64())

@@ -17,11 +17,21 @@
 //! where crossovers fall — is what the suite reproduces; absolute numbers
 //! are smaller by the scale factor. Set `FASTGL_QUICK=1` for a fast smoke
 //! profile (used by CI and `cargo test`).
+//!
+//! The reports are read back in the same crate: [`perfdiff`] is the
+//! regression gate over `results/<id>.json`, parsing each file with
+//! [`Report::from_json`], the inverse of the export.
 
 #![warn(missing_docs)]
 
+// The two analyses behind the `INSIGHT_attribution` experiment, their
+// only caller.
+mod critical_path;
+mod memory;
+
 pub mod emit;
 pub mod experiments;
+pub mod perfdiff;
 pub mod report;
 pub mod scale;
 

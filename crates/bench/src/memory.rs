@@ -17,7 +17,7 @@
 use fastgl_telemetry::{names, Snapshot};
 
 /// Per-level traffic and savings of one run, folded from counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, PartialEq, Eq, Default)]
 pub struct MemoryAttribution {
     /// Aggregation FLOPs executed.
     pub flops: u64,

@@ -1,7 +1,7 @@
 //! The perf-regression gate over `results/*.json` reports.
 //!
-//! Every `fastgl-bench` experiment persists its tables as a JSON report.
-//! Nearly every cell is a **simulated** value (times, bytes, ratios,
+//! Every experiment persists its tables as a JSON report, which the gate
+//! reads back through [`Report::from_json`]. Nearly every cell is a **simulated** value (times, bytes, ratios,
 //! percentages derived from [`SimTime`](fastgl_gpusim::SimTime)): it is
 //! deterministic, and the same tree must reproduce it bit-for-bit on any
 //! machine, at any thread count. So the gate has one rule: every cell is
@@ -19,100 +19,9 @@
 //! profiles is apples-to-oranges — the gate refuses rather than reporting
 //! nonsense regressions.
 
-use fastgl_telemetry::json::{self, Value};
-use std::collections::BTreeMap;
+use crate::report::Report;
 use std::fmt::Write as _;
 use std::path::Path;
-
-/// One table of a parsed report document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableDoc {
-    /// Table caption.
-    pub title: String,
-    /// Column headers.
-    pub headers: Vec<String>,
-    /// Formatted cell strings.
-    pub rows: Vec<Vec<String>>,
-}
-
-/// A parsed `results/<id>.json` report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReportDoc {
-    /// Experiment id.
-    pub id: String,
-    /// One-line description.
-    pub description: String,
-    /// The tables.
-    pub tables: Vec<TableDoc>,
-    /// Provenance stamp, if the writing build recorded one.
-    pub provenance: Option<BTreeMap<String, String>>,
-}
-
-/// Parses a report JSON document.
-///
-/// # Errors
-///
-/// Returns a description of the first syntax or shape error.
-pub fn parse_report(text: &str) -> Result<ReportDoc, String> {
-    let v = json::parse(text)?;
-    Ok(ReportDoc {
-        id: string(&v, "id")?,
-        description: string(&v, "description")?,
-        tables: array(&v, "tables")?
-            .iter()
-            .map(|t| {
-                Ok(TableDoc {
-                    title: string(t, "title")?,
-                    headers: strings(t.get("headers").ok_or("table missing 'headers'")?)?,
-                    rows: array(t, "rows")?
-                        .iter()
-                        .map(strings)
-                        .collect::<Result<_, _>>()?,
-                })
-            })
-            .collect::<Result<_, String>>()?,
-        provenance: v.get("provenance").map(|p| match p {
-            Value::Obj(m) => m
-                .iter()
-                .map(|(k, val)| {
-                    let s = match val {
-                        Value::Str(s) => s.clone(),
-                        Value::Bool(b) => b.to_string(),
-                        Value::Num(n) => format!("{n}"),
-                        other => format!("{other:?}"),
-                    };
-                    (k.clone(), s)
-                })
-                .collect(),
-            _ => BTreeMap::new(),
-        }),
-    })
-}
-
-fn string(obj: &Value, key: &str) -> Result<String, String> {
-    obj.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
-fn array<'a>(obj: &'a Value, key: &str) -> Result<&'a [Value], String> {
-    obj.get(key)
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("missing '{key}' array"))
-}
-
-fn strings(v: &Value) -> Result<Vec<String>, String> {
-    v.as_arr()
-        .ok_or("expected an array of strings")?
-        .iter()
-        .map(|c| {
-            c.as_str()
-                .map(str::to_string)
-                .ok_or("non-string cell".into())
-        })
-        .collect()
-}
 
 /// Whether a column holds host wall-clock time, which the gate skips.
 /// Convention (followed by the experiments): such headers say `wall`.
@@ -227,27 +136,22 @@ impl DiffSummary {
     }
 }
 
-/// Provenance keys that must match for two runs to be comparable. The
-/// scale profile changes every simulated number; thread/prefetch/telemetry
-/// settings are pinned not to (by the determinism test suite), so they
-/// may differ.
-const PROFILE_KEY: &str = "profile";
-
 /// Diffs one report pair into `summary`.
-pub fn diff_reports(baseline: &ReportDoc, candidate: &ReportDoc, summary: &mut DiffSummary) {
+pub fn diff_reports(baseline: &Report, candidate: &Report, summary: &mut DiffSummary) {
     summary.reports_compared += 1;
     let id = baseline.id.clone();
-    // Provenance gate: refuse apples-to-oranges profiles. Reports written
-    // before stamping existed (no provenance) compare without the guard.
+    // Provenance gate: refuse apples-to-oranges profiles. The scale
+    // profile changes every simulated number; thread/prefetch/telemetry
+    // settings are pinned not to (by the determinism test suite), so they
+    // may differ. Reports written before stamping existed (no provenance)
+    // compare without the guard.
     if let (Some(b), Some(c)) = (&baseline.provenance, &candidate.provenance) {
-        let bp = b.get(PROFILE_KEY);
-        let cp = c.get(PROFILE_KEY);
-        if bp != cp {
+        if b.profile != c.profile {
             summary.findings.push(Finding {
                 report: id,
                 location: "provenance".into(),
-                baseline: format!("profile={}", bp.map_or("?", |s| s)),
-                candidate: format!("profile={}", cp.map_or("?", |s| s)),
+                baseline: format!("profile={}", b.profile),
+                candidate: format!("profile={}", c.profile),
                 kind: FindingKind::Incompatible,
                 detail: "scale profiles differ; re-run both sides under the same \
                          FASTGL_QUICK setting"
@@ -340,11 +244,11 @@ pub fn diff_dirs(baseline_dir: &Path, candidate_dir: &Path) -> Result<DiffSummar
     }
     let mut summary = DiffSummary::default();
     for name in names {
-        let read_and_parse = |dir: &Path| -> Result<ReportDoc, String> {
+        let read_and_parse = |dir: &Path| -> Result<Report, String> {
             let path = dir.join(&name);
             let text = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            parse_report(&text).map_err(|e| format!("{}: {e}", path.display()))
+            Report::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
         };
         let baseline = read_and_parse(baseline_dir)?;
         if !candidate_dir.join(&name).exists() {
@@ -368,24 +272,29 @@ pub fn diff_dirs(baseline_dir: &Path, candidate_dir: &Path) -> Result<DiffSummar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{Provenance, Table};
 
-    fn doc(id: &str, cells: &[[&str; 3]]) -> ReportDoc {
-        ReportDoc {
-            id: id.into(),
-            description: "test".into(),
-            tables: vec![TableDoc {
-                title: "T".into(),
-                headers: vec!["case".into(), "sim time".into(), "wall epoch time".into()],
-                rows: cells
-                    .iter()
-                    .map(|r| r.iter().map(|c| c.to_string()).collect())
-                    .collect(),
-            }],
-            provenance: None,
-        }
+    fn doc(id: &str, cells: &[[&str; 3]]) -> Report {
+        let mut r = Report::new(id, "test");
+        r.tables.push(Table {
+            title: "T".into(),
+            headers: vec!["case".into(), "sim time".into(), "wall epoch time".into()],
+            rows: cells
+                .iter()
+                .map(|r| r.iter().map(|c| c.to_string()).collect())
+                .collect(),
+        });
+        r
     }
 
-    fn run_diff(b: &ReportDoc, c: &ReportDoc) -> DiffSummary {
+    fn profile(name: &str) -> Option<Provenance> {
+        Some(Provenance {
+            profile: name.into(),
+            ..Provenance::default()
+        })
+    }
+
+    fn run_diff(b: &Report, c: &Report) -> DiffSummary {
         let mut s = DiffSummary::default();
         diff_reports(b, c, &mut s);
         s
@@ -453,8 +362,8 @@ mod tests {
     fn profile_mismatch_is_refused_not_diffed() {
         let mut b = doc("r", &[["a", "1ms", "1s"]]);
         let mut c = doc("r", &[["a", "999ms", "1s"]]); // would be a regression
-        b.provenance = Some([("profile".to_string(), "default".to_string())].into());
-        c.provenance = Some([("profile".to_string(), "quick".to_string())].into());
+        b.provenance = profile("default");
+        c.provenance = profile("quick");
         let s = run_diff(&b, &c);
         assert!(s.has_incompatible());
         assert!(!s.has_regressions(), "refused, so no value findings");
@@ -470,7 +379,7 @@ mod tests {
     fn missing_provenance_on_either_side_still_compares() {
         let mut b = doc("r", &[["a", "1ms", "1s"]]);
         let c = doc("r", &[["a", "2ms", "1s"]]);
-        b.provenance = Some([("profile".to_string(), "default".to_string())].into());
+        b.provenance = profile("default");
         assert!(run_diff(&b, &c).has_regressions());
     }
 
@@ -479,14 +388,16 @@ mod tests {
         let text = "{\"id\":\"x\",\"description\":\"d\",\"notes\":[\"n\"],\
                     \"tables\":[{\"title\":\"T\",\"headers\":[\"a\"],\
                     \"rows\":[[\"1ms\"]]}],\
-                    \"provenance\":{\"profile\":\"quick\",\"telemetry\":false}}\n";
-        let doc = parse_report(text).unwrap();
+                    \"provenance\":{\"profile\":\"quick\",\"threads\":\"auto\",\
+                    \"prefetch\":\"default\",\"telemetry\":false,\"git\":null}}\n";
+        let doc = Report::from_json(text).unwrap();
+        assert_eq!(doc.to_json(), text);
         assert_eq!(doc.id, "x");
         assert_eq!(doc.tables[0].rows[0][0], "1ms");
         let prov = doc.provenance.unwrap();
-        assert_eq!(prov.get("profile").map(String::as_str), Some("quick"));
-        assert_eq!(prov.get("telemetry").map(String::as_str), Some("false"));
-        assert!(parse_report("{\"id\":\"x\"}").is_err());
+        assert_eq!(prov.profile, "quick");
+        assert!(!prov.telemetry);
+        assert!(Report::from_json("{\"id\":\"x\"}").is_err());
     }
 
     #[test]

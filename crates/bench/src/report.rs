@@ -1,12 +1,39 @@
-//! Report rendering: aligned text tables plus JSON export.
+//! Report rendering: aligned text tables, plus the `results/<id>.json`
+//! format in both directions: [`Report::to_json`] writes it and
+//! [`Report::from_json`], its inverse, reads it back for `perfdiff`.
 
-use fastgl_telemetry::json::escape;
+use fastgl_telemetry::json::{self, escape, Value};
 use std::fmt::Write as _;
 use std::path::Path;
 
 fn json_str_array(items: &[String]) -> String {
     let cells: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
     format!("[{}]", cells.join(","))
+}
+
+fn string(obj: &Value, key: &str) -> Result<String, String> {
+    obj.get(key)
+        .and_then(Value::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| format!("missing string field '{key}'"))
+}
+
+fn array<'a>(obj: &'a Value, key: &str) -> Result<&'a [Value], String> {
+    obj.get(key)
+        .and_then(Value::as_arr)
+        .ok_or_else(|| format!("missing '{key}' array"))
+}
+
+fn strings(v: &Value) -> Result<Vec<String>, String> {
+    v.as_arr()
+        .ok_or("expected an array of strings")?
+        .iter()
+        .map(|c| {
+            c.as_str()
+                .map(str::to_string)
+                .ok_or("non-string cell".into())
+        })
+        .collect()
 }
 
 /// One table of an experiment report.
@@ -61,6 +88,17 @@ impl Table {
             json_str_array(&self.headers),
             rows.join(",")
         )
+    }
+
+    fn from_json(v: &Value) -> Result<Self, String> {
+        Ok(Self {
+            title: string(v, "title")?,
+            headers: strings(v.get("headers").ok_or("table missing 'headers'")?)?,
+            rows: array(v, "rows")?
+                .iter()
+                .map(strings)
+                .collect::<Result<_, _>>()?,
+        })
     }
 }
 
@@ -117,6 +155,23 @@ impl Provenance {
                 None => "null".to_string(),
             }
         )
+    }
+
+    fn from_json(v: &Value) -> Result<Self, String> {
+        Ok(Self {
+            profile: string(v, "profile")?,
+            threads: string(v, "threads")?,
+            prefetch: string(v, "prefetch")?,
+            telemetry: match v.get("telemetry") {
+                Some(Value::Bool(b)) => *b,
+                _ => return Err("missing bool field 'telemetry'".into()),
+            },
+            git: match v.get("git") {
+                Some(Value::Null) => None,
+                Some(Value::Str(rev)) => Some(rev.clone()),
+                _ => return Err("missing string-or-null field 'git'".into()),
+            },
+        })
     }
 }
 
@@ -199,6 +254,29 @@ impl Report {
             tables.join(","),
             provenance
         )
+    }
+
+    /// Parses a document written by [`Report::to_json`]: its inverse, so
+    /// `Report::from_json(&r.to_json())` gives back `r`. Every field the
+    /// export writes is required; `provenance` may be absent, as it is
+    /// from an unstamped export.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first syntax error, or of the first
+    /// field that is missing or has the wrong type.
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        let v = json::parse(text)?;
+        Ok(Self {
+            id: string(&v, "id")?,
+            description: string(&v, "description")?,
+            notes: strings(v.get("notes").ok_or("missing 'notes' array")?)?,
+            tables: array(&v, "tables")?
+                .iter()
+                .map(Table::from_json)
+                .collect::<Result<_, _>>()?,
+            provenance: v.get("provenance").map(Provenance::from_json).transpose()?,
+        })
     }
 
     /// Writes the report as `dir/<id>.json`. Creates `dir`.
@@ -368,6 +446,46 @@ mod tests {
         let j = r.to_json();
         assert!(j.contains("\"notes\":[],\"tables\""));
         assert!(j.ends_with("\"telemetry\":true,\"git\":null}}\n"));
+    }
+
+    /// `from_json` inverts `to_json`, and answers every partial or
+    /// mistyped document with an `Err`, never a panic.
+    #[test]
+    fn from_json_inverts_to_json_and_rejects_partial_documents() {
+        let mut r = Report::new("rt", "round \"trip\"");
+        r.note("n\t1");
+        r.tables.push(table());
+        r.tables.push(Table::new("empty", &[]));
+        let unstamped = r.clone();
+        assert_eq!(Report::from_json(&unstamped.to_json()), Ok(unstamped));
+        for git in [None, Some("abc1234".to_string())] {
+            r.provenance = Some(Provenance {
+                profile: "quick".into(),
+                threads: "auto".into(),
+                prefetch: "2".into(),
+                telemetry: true,
+                git,
+            });
+            assert_eq!(Report::from_json(&r.to_json()), Ok(r.clone()));
+        }
+        let text = r.to_json();
+        // Every prefix short of the closing brace is partial JSON.
+        for end in 0..text.len() - 1 {
+            assert!(Report::from_json(&text[..end]).is_err(), "{end}");
+        }
+        for (from, to) in [
+            ("\"id\":\"rt\",", ""),
+            ("\"notes\":[\"n\\t1\"]", "\"notes\":null"),
+            ("\"rows\":[[\"alpha\"", "\"rows\":[[1"),
+            ("\"headers\":[\"name\",", "\"headers\":[{},"),
+            ("\"profile\":\"quick\",", ""),
+            ("\"telemetry\":true", "\"telemetry\":\"true\""),
+            ("\"git\":\"abc1234\"", "\"git\":7"),
+        ] {
+            let bad = text.replace(from, to);
+            assert_ne!(bad, text, "fixture must contain {from}");
+            assert!(Report::from_json(&bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

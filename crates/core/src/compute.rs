@@ -142,7 +142,7 @@ impl ComputeEngine {
             };
 
             // Fold the kernel's memory-hierarchy taxonomy into the global
-            // counters so fastgl-insight can attribute bytes per level.
+            // counters so the attribution can split bytes per level.
             agg.profile.emit_telemetry();
 
             // Attention models do extra per-edge work (scores, softmax);

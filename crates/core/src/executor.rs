@@ -114,11 +114,11 @@ impl<'p> WindowPlan<'p> {
 
 /// Wall-clock accounting of one pipeline stage.
 ///
-/// Stall time is split by *direction* so the critical-path analysis in
-/// `fastgl-insight` can attribute it: a stage blocked receiving is
-/// **starved** (its upstream neighbour is the bottleneck), a stage
-/// blocked sending is under **backpressure** (its downstream neighbour
-/// is).
+/// Stall time is split by *direction* so the critical-path analysis of
+/// the `INSIGHT_attribution` experiment can attribute it: a stage
+/// blocked receiving is **starved** (its upstream neighbour is the
+/// bottleneck), a stage blocked sending is under **backpressure** (its
+/// downstream neighbour is).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageWallStats {
     /// Time spent inside the stage closure (useful work).

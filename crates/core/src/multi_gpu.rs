@@ -66,8 +66,8 @@ impl GpuRoles {
     /// only its production excess over the preceding window's training.
     /// By the identity `max(p, c) - c = p ∸ c` (exact on nanosecond
     /// integers), the entries sum **exactly** to the depth-1 pipeline
-    /// bound [`fastgl_gpusim::overlap::hidden_stage_visible`], which `fastgl-insight`'s
-    /// attribution relies on. With no dedicated samplers the sampling is
+    /// bound [`fastgl_gpusim::overlap::hidden_stage_visible`], which the
+    /// critical-path attribution relies on. With no dedicated samplers the sampling is
     /// on the critical path and returned unchanged.
     ///
     /// # Panics

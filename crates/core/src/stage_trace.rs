@@ -3,10 +3,10 @@
 //! The pipeline used to expose its per-window accounting only as merged
 //! telemetry histograms, which cannot be attributed back to individual
 //! windows. [`EpochWindowTrace`] is the typed, deterministic record the
-//! critical-path analysis in `fastgl-insight` consumes instead: one
-//! [`WindowPhases`] entry per window, all in simulated time, so the same
-//! run produces the identical trace at any `FASTGL_THREADS` /
-//! `FASTGL_PREFETCH` setting.
+//! critical-path analysis of the `INSIGHT_attribution` experiment
+//! consumes instead: one [`WindowPhases`] entry per window, all in
+//! simulated time, so the same run produces the identical trace at any
+//! `FASTGL_THREADS` / `FASTGL_PREFETCH` setting.
 //!
 //! The invariant that makes the trace trustworthy: summing the visible
 //! phases over all windows reproduces the epoch's
@@ -61,8 +61,8 @@ impl EpochWindowTrace {
     }
 
     /// The visible phase totals across all windows. Equals the epoch's
-    /// reported `EpochStats::breakdown` exactly — pinned by the
-    /// `fastgl-insight` integration tests.
+    /// reported `EpochStats::breakdown` exactly — pinned by
+    /// `tests/determinism.rs`.
     pub fn visible_breakdown(&self) -> PhaseBreakdown {
         let mut b = PhaseBreakdown::default();
         for w in &self.windows {

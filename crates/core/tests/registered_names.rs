@@ -1,10 +1,10 @@
 //! Lint: every counter, histogram and wall-clock span name the runtime
 //! actually emits must be registered in [`fastgl_telemetry::names`]. A
-//! typo'd or unregistered name would silently fall out of
-//! `fastgl-insight`'s attribution tables, so this test runs representative
-//! workloads — serial and pipelined, clean and faulted, single- and
-//! multi-threaded, simulated and numeric training — and asserts the
-//! drained snapshot contains no stranger names.
+//! typo'd or unregistered name would silently fall out of the
+//! attribution tables of `INSIGHT_attribution`, so this test runs
+//! representative workloads — serial and pipelined, clean and faulted,
+//! single- and multi-threaded, simulated and numeric training — and
+//! asserts the drained snapshot contains no stranger names.
 
 use fastgl_core::system::TrainingSystem;
 use fastgl_core::trainer::{self, TrainerConfig};

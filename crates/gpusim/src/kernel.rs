@@ -58,8 +58,8 @@ impl KernelProfile {
     /// telemetry as `gpusim.*` counters (a no-op when telemetry is
     /// disabled). Increments are pure event counts from the simulated
     /// workload, so the totals stay bit-identical at any thread count —
-    /// `fastgl-insight` folds them into the paper-style memory-hierarchy
-    /// attribution.
+    /// the `INSIGHT_attribution` experiment folds them into the
+    /// paper-style memory-hierarchy attribution.
     pub fn emit_telemetry(&self) {
         use fastgl_telemetry::{counter_add, names};
         counter_add(names::GPUSIM_FLOPS, self.flops);

@@ -6,14 +6,14 @@
 //! snapshots real runs and asserts each emitted metric name appears in
 //! [`all()`] and each span name in [`spans()`], so a typo'd string fails
 //! `cargo test` instead of silently forking a new time series. Consumers
-//! (`fastgl-insight`, CI greps, dashboards) match on these constants
-//! rather than re-typing the strings.
+//! (the `INSIGHT_attribution` experiment, CI greps, dashboards) match on
+//! these constants rather than re-typing the strings.
 //!
 //! All counters are deterministic: increments are driven by the simulated
 //! workload, so totals are identical at any `FASTGL_THREADS` /
 //! `FASTGL_PREFETCH` setting. Wall-clock *histograms* (the
 //! `pipeline.*_ns` family) are the one timing-dependent family — their
-//! bucket shapes vary run to run, which is why `fastgl-insight` keys its
+//! bucket shapes vary run to run, which is why the attribution keys its
 //! deterministic analyses off counters and simulated time only.
 
 // ---------------------------------------------------------------------
