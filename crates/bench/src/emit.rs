@@ -30,7 +30,7 @@ pub fn telemetry_dir() -> PathBuf {
 /// Prints the report, stamps it with the run's [`Provenance`], and writes
 /// `results/<id>.json`, which holds every cell; then exports this
 /// run's telemetry (if enabled) under
-/// `results/telemetry/<id>.{trace,telemetry}.json`. Write failures warn
+/// `results/telemetry/<id>.telemetry.json`. Write failures warn
 /// on stderr rather than aborting the run — the printed report is the
 /// primary artifact.
 pub fn finish(report: &Report) {
@@ -45,24 +45,19 @@ pub fn finish(report: &Report) {
     export_telemetry(&report.id);
 }
 
-/// Drains the telemetry buffers and writes the chrome trace + perf JSON
-/// for them, keyed by `stem`. No-op (and no drain) when telemetry is off,
-/// so a multi-experiment runner can call this after every experiment and
-/// each gets exactly its own events.
+/// Drains the telemetry store and writes its perf JSON, keyed by `stem`.
+/// No-op (and no drain) when telemetry is off, so a multi-experiment
+/// runner can call this after every experiment and each gets exactly its
+/// own totals.
 pub fn export_telemetry(stem: &str) {
     if !fastgl_telemetry::enabled() {
         return;
     }
     let snap = fastgl_telemetry::drain();
     match fastgl_telemetry::export::write_to_dir(&snap, &telemetry_dir(), stem) {
-        Ok((trace, perf)) => {
+        Ok(perf) => {
             print!("{}", fastgl_telemetry::export::summary(&snap));
-            println!(
-                "[telemetry: {} events -> {} + {}]\n",
-                snap.events.len(),
-                trace.display(),
-                perf.display()
-            );
+            println!("[telemetry -> {}]\n", perf.display());
         }
         Err(e) => eprintln!("warning: could not write telemetry for {stem}: {e}"),
     }
@@ -111,7 +106,7 @@ mod tests {
         // Must not drain, must not write: just return.
         export_telemetry("never_written");
         assert!(!Path::new(TELEMETRY_DIR)
-            .join("never_written.trace.json")
+            .join("never_written.telemetry.json")
             .exists());
     }
 }

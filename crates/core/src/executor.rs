@@ -18,10 +18,11 @@
 //! accumulations are bit-identical at any prefetch depth (including the
 //! depth-0 serial path) and any `FASTGL_THREADS` setting.
 //!
-//! Per-stage busy/stall wall time is reported as [`PipelineWallStats`] and
-//! exported through `fastgl-telemetry` histograms, giving the pipeline an
-//! observable efficiency figure (how much of each stage's wall time was
-//! useful work vs. waiting on its neighbours).
+//! Per-stage busy/stall wall time is reported as [`PipelineWallStats`];
+//! telemetry records busy time as the `pipeline.stage.*` spans and stall
+//! time as histograms, giving the pipeline an observable efficiency
+//! figure (how much of each stage's wall time was useful work vs. waiting
+//! on its neighbours).
 
 use crate::match_reorder::greedy_reorder;
 use fastgl_graph::{DeterministicRng, NodeId};
@@ -147,7 +148,8 @@ impl StageWallStats {
 pub struct PipelineWallStats {
     /// Prefetch depth the run used (0 = serial).
     pub prefetch: usize,
-    /// Capacity of the inter-stage channels.
+    /// Capacity of the inter-stage channels: the prefetch depth, capped
+    /// at the run's window count (at least 1).
     pub channel_bound: usize,
     /// The window-sampling stage.
     pub sample: StageWallStats,
@@ -158,33 +160,30 @@ pub struct PipelineWallStats {
 }
 
 impl PipelineWallStats {
-    /// Records the per-stage busy/stall times into telemetry histograms.
+    /// Records the per-stage stall times into telemetry histograms. Busy
+    /// time needs none: the `pipeline.stage.*` spans record it per window.
     ///
     /// Histograms (not counters) on purpose: wall time varies with thread
     /// count and scheduling, and counter totals are pinned invariant
     /// across `FASTGL_THREADS` by the telemetry test suite.
     pub fn emit_telemetry(&self) {
-        for (name_busy, name_in, name_out, st) in [
+        for (name_in, name_out, st) in [
             (
-                names::PIPELINE_SAMPLE_BUSY_NS,
                 names::PIPELINE_SAMPLE_STALL_IN_NS,
                 names::PIPELINE_SAMPLE_STALL_OUT_NS,
                 &self.sample,
             ),
             (
-                names::PIPELINE_PREPARE_BUSY_NS,
                 names::PIPELINE_PREPARE_STALL_IN_NS,
                 names::PIPELINE_PREPARE_STALL_OUT_NS,
                 &self.prepare,
             ),
             (
-                names::PIPELINE_EXECUTE_BUSY_NS,
                 names::PIPELINE_EXECUTE_STALL_IN_NS,
                 names::PIPELINE_EXECUTE_STALL_OUT_NS,
                 &self.execute,
             ),
         ] {
-            fastgl_telemetry::observe(name_busy, st.busy.as_nanos() as u64);
             fastgl_telemetry::observe(name_in, st.stall_in.as_nanos() as u64);
             fastgl_telemetry::observe(name_out, st.stall_out.as_nanos() as u64);
         }
@@ -192,13 +191,8 @@ impl PipelineWallStats {
 }
 
 /// Runs a window stage under its telemetry span and busy timer.
-fn timed<O>(
-    st: &mut StageWallStats,
-    name: &'static str,
-    window: usize,
-    f: impl FnOnce() -> O,
-) -> O {
-    let _span = fastgl_telemetry::span(name).with_u64("window", window as u64);
+fn timed<O>(st: &mut StageWallStats, name: &'static str, f: impl FnOnce() -> O) -> O {
+    let _span = fastgl_telemetry::span(name);
     let start = Instant::now();
     let out = f();
     st.busy += start.elapsed();
@@ -212,14 +206,12 @@ fn timed<O>(
 fn timed_replayed<O>(
     st: &mut StageWallStats,
     name: &'static str,
-    window: usize,
     retries: usize,
     mut f: impl FnMut() -> O,
 ) -> O {
     for _ in 0..retries {
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            timed(st, name, window, &mut f)
-        }));
+        let attempt =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| timed(st, name, &mut f)));
         match attempt {
             Ok(out) => return out,
             Err(_) => {
@@ -228,7 +220,7 @@ fn timed_replayed<O>(
             }
         }
     }
-    timed(st, name, window, &mut f)
+    timed(st, name, &mut f)
 }
 
 /// The three-stage window pipeline.
@@ -243,8 +235,9 @@ pub struct PipelineExecutor {
 }
 
 impl PipelineExecutor {
-    /// An executor with the given prefetch depth; the inter-stage channels
-    /// hold `prefetch.max(1)` windows and no stage replays.
+    /// An executor with the given prefetch depth and no stage replays.
+    /// The inter-stage channels hold `prefetch` windows, but never more
+    /// than a run has windows and never fewer than one.
     pub fn new(prefetch: usize) -> Self {
         Self {
             prefetch,
@@ -299,7 +292,9 @@ impl PipelineExecutor {
         fastgl_telemetry::counter_add(names::PIPELINE_WINDOWS, windows.len() as u64);
         let mut stats = PipelineWallStats {
             prefetch: self.prefetch,
-            channel_bound: self.prefetch.max(1),
+            // std allocates every channel slot up front, and no more
+            // windows than the run holds can be in flight.
+            channel_bound: self.prefetch.min(windows.len()).max(1),
             ..Default::default()
         };
         let retries = self.stage_retries;
@@ -308,20 +303,17 @@ impl PipelineExecutor {
                 let item = timed_replayed(
                     &mut stats.sample,
                     names::SPAN_PIPELINE_STAGE_SAMPLE,
-                    w,
                     retries,
                     || sample(w),
                 );
                 let prepared = timed(
                     &mut stats.prepare,
                     names::SPAN_PIPELINE_STAGE_PREPARE,
-                    w,
                     || prepare(w, item),
                 );
                 timed(
                     &mut stats.execute,
                     names::SPAN_PIPELINE_STAGE_EXECUTE,
-                    w,
                     || execute(w, prepared),
                 );
             }
@@ -339,13 +331,10 @@ impl PipelineExecutor {
             let sampler = scope.spawn(move || {
                 let mut st = StageWallStats::default();
                 for w in windows {
-                    let item = timed_replayed(
-                        &mut st,
-                        names::SPAN_PIPELINE_STAGE_SAMPLE,
-                        w,
-                        retries,
-                        || sample(w),
-                    );
+                    let item =
+                        timed_replayed(&mut st, names::SPAN_PIPELINE_STAGE_SAMPLE, retries, || {
+                            sample(w)
+                        });
                     let wait = Instant::now();
                     // A closed channel means a downstream stage panicked;
                     // stop producing and let the join surface the panic.
@@ -365,7 +354,7 @@ impl PipelineExecutor {
                         break;
                     };
                     st.stall_in += wait.elapsed();
-                    let prepared = timed(&mut st, names::SPAN_PIPELINE_STAGE_PREPARE, w, || {
+                    let prepared = timed(&mut st, names::SPAN_PIPELINE_STAGE_PREPARE, || {
                         prepare(w, item)
                     });
                     let wait = Instant::now();
@@ -386,7 +375,6 @@ impl PipelineExecutor {
                 timed(
                     &mut stats.execute,
                     names::SPAN_PIPELINE_STAGE_EXECUTE,
-                    w,
                     || execute(w, prepared),
                 );
             }
@@ -445,6 +433,17 @@ mod tests {
             assert_eq!(stats.prepare.items, 23);
             assert_eq!(stats.channel_bound, depth);
         }
+    }
+
+    #[test]
+    fn unbounded_prefetch_caps_channels_at_the_window_count() {
+        // std allocates every channel slot up front, so the depth alone
+        // must not size the channels: `usize::MAX` runs like any depth.
+        let (serial, _) = run_chain(PipelineExecutor::new(0), 5);
+        let (seen, stats) = run_chain(PipelineExecutor::new(usize::MAX), 5);
+        assert_eq!(seen, serial);
+        assert_eq!(stats.prefetch, usize::MAX);
+        assert_eq!(stats.channel_bound, 5);
     }
 
     #[test]

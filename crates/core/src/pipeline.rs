@@ -457,7 +457,7 @@ impl Pipeline {
             stats.l2_hit_rate *= inv;
             stats.aggregation_gflops *= inv;
         }
-        stats.breakdown.emit_telemetry(self.name);
+        stats.breakdown.emit_telemetry();
         {
             use fastgl_telemetry::names;
             let row_bytes = feature_dim as u64 * 4;
@@ -485,9 +485,7 @@ impl TrainingSystem for Pipeline {
     }
 
     fn run_epoch(&mut self, data: &DatasetBundle, epoch: u64) -> EpochStats {
-        let _span = fastgl_telemetry::span(fastgl_telemetry::names::SPAN_PIPELINE_EPOCH)
-            .with_str("system", self.name)
-            .with_u64("epoch", epoch);
+        let _span = fastgl_telemetry::span(fastgl_telemetry::names::SPAN_PIPELINE_EPOCH);
         self.compute.set_workload_scale(data.spec.scale);
         // Re-calibrate the memoised hit rates each epoch: the memo must
         // not leak state across epochs, or `run_epoch` stops being a pure

@@ -284,8 +284,7 @@ pub fn train_resumable(
         if stop == next {
             break;
         }
-        let _epoch_span =
-            fastgl_telemetry::span(names::SPAN_TRAINER_EPOCH).with_u64("epoch", epoch);
+        let _epoch_span = fastgl_telemetry::span(names::SPAN_TRAINER_EPOCH);
         let plan = MinibatchPlan::new(train_nodes, config.batch_size, config.seed, epoch);
         let windows = epoch_windows(&plan, config, epoch);
         let batches = (next - epoch_start) as usize..(stop - epoch_start) as usize;
@@ -308,8 +307,7 @@ pub fn train_resumable(
                 let todo = stop - next;
                 for &idx in order.iter().skip(done as usize).take(todo as usize) {
                     let sg = &subgraphs[idx];
-                    let _iter_span = fastgl_telemetry::span(names::SPAN_TRAINER_ITERATION)
-                        .with_u64("nodes", sg.num_nodes());
+                    let _iter_span = fastgl_telemetry::span(names::SPAN_TRAINER_ITERATION);
                     fastgl_telemetry::observe(names::TRAINER_BATCH_NODES, sg.num_nodes());
                     let x = gather(sg);
                     let batch_labels = seed_labels(sg);

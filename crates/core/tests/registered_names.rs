@@ -11,7 +11,7 @@ use fastgl_core::trainer::{self, TrainerConfig};
 use fastgl_core::{FastGl, FastGlConfig};
 use fastgl_graph::generate::community::{self, CommunityConfig};
 use fastgl_graph::{Dataset, DatasetBundle, NodeId};
-use fastgl_telemetry::{names, Snapshot, Track};
+use fastgl_telemetry::{names, Snapshot};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
@@ -47,12 +47,7 @@ fn emitted_names(threads: usize, work: impl FnOnce()) -> Emitted {
         .chain(snap.histograms.keys())
         .copied()
         .collect();
-    let spans = snap
-        .events
-        .iter()
-        .filter(|e| e.track != Track::Sim)
-        .map(|e| e.name)
-        .collect();
+    let spans = snap.spans.keys().copied().collect();
     (metrics, spans)
 }
 

@@ -183,18 +183,13 @@ impl PhaseBreakdown {
         }
     }
 
-    /// Records this breakdown on the telemetry subsystem's simulated-time
-    /// track: one enclosing span named `label` with the three phases laid
-    /// out back-to-back inside it. No-op while telemetry is disabled.
-    pub fn emit_telemetry(&self, label: &'static str) {
-        fastgl_telemetry::record_sim_phases(
-            label,
-            &[
-                ("sample", self.sample.as_nanos()),
-                ("io", self.io.as_nanos()),
-                ("compute", self.compute.as_nanos()),
-            ],
-        );
+    /// Adds the three phases to the `sim.{sample,io,compute}_ns`
+    /// telemetry counters. No-op while telemetry is disabled.
+    pub fn emit_telemetry(&self) {
+        use fastgl_telemetry::{counter_add, names};
+        counter_add(names::SIM_SAMPLE_NS, self.sample.as_nanos());
+        counter_add(names::SIM_IO_NS, self.io.as_nanos());
+        counter_add(names::SIM_COMPUTE_NS, self.compute.as_nanos());
     }
 }
 
@@ -302,14 +297,14 @@ mod tests {
             io: SimTime::from_nanos(222),
             compute: SimTime::from_nanos(333),
         };
-        b.emit_telemetry("epoch");
-        b.emit_telemetry("epoch");
+        b.emit_telemetry();
+        b.emit_telemetry();
         let snap = fastgl_telemetry::drain();
         fastgl_telemetry::set_enabled(false);
-        let totals = snap.sim_phase_totals();
-        assert_eq!(totals.get("sample").copied(), Some(222));
-        assert_eq!(totals.get("io").copied(), Some(444));
-        assert_eq!(totals.get("compute").copied(), Some(666));
+        use fastgl_telemetry::names;
+        assert_eq!(snap.counters[names::SIM_SAMPLE_NS], 222);
+        assert_eq!(snap.counters[names::SIM_IO_NS], 444);
+        assert_eq!(snap.counters[names::SIM_COMPUTE_NS], 666);
     }
 
     #[test]

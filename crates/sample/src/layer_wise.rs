@@ -54,9 +54,7 @@ impl LayerWiseSampler {
         id_map: &dyn IdMap,
         rng: &mut DeterministicRng,
     ) -> (SampledSubgraph, SampleStats) {
-        let _span = fastgl_telemetry::span(names::SPAN_SAMPLE_LAYER_WISE)
-            .with_u64("seeds", seeds.len() as u64)
-            .with_u64("layers", self.layer_budgets.len() as u64);
+        let _span = fastgl_telemetry::span(names::SPAN_SAMPLE_LAYER_WISE);
         let mut stats = SampleStats::default();
         let mut frontier: Vec<u64> = seeds.iter().map(|n| n.0).collect();
         let mut hop_blocks: Vec<Block> = Vec::with_capacity(self.layer_budgets.len());

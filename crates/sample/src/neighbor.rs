@@ -85,9 +85,7 @@ impl NeighborSampler {
         id_map: &dyn IdMap,
         rng: &mut DeterministicRng,
     ) -> (SampledSubgraph, SampleStats) {
-        let _span = fastgl_telemetry::span(names::SPAN_SAMPLE_NEIGHBOR)
-            .with_u64("seeds", seeds.len() as u64)
-            .with_u64("hops", self.fanouts.len() as u64);
+        let _span = fastgl_telemetry::span(names::SPAN_SAMPLE_NEIGHBOR);
         let mut stats = SampleStats::default();
         // Current frontier as global IDs; local IDs of earlier entries stay
         // stable because every hop's unique list starts with this prefix.

@@ -1,5 +1,5 @@
-//! Structured observability for the FastGL workspace: spans, counters,
-//! log-bucketed histograms, and perf export (chrome-trace + JSON).
+//! Structured observability for the FastGL workspace: wall-clock spans,
+//! counters, log-bucketed histograms, and perf export (JSON + text).
 //!
 //! Every hot path in the workspace (dense kernels, samplers, the training
 //! pipeline, the GPU simulator's phase accounting) reports into this crate,
@@ -13,22 +13,21 @@
 //!    entry point starts with one relaxed atomic load and returns
 //!    immediately, allocating nothing. Enable it with `FASTGL_TELEMETRY=1`,
 //!    [`set_enabled`], or `FastGlConfig::with_telemetry(true)`.
-//! 2. **Safe under the fork-join backend.** The event buffer is sharded by
+//! 2. **Totals, not events.** A closed span adds its duration to a
+//!    per-name [`Histogram`]; no span is kept on its own. Totals are exact
+//!    at any run length, and memory is bounded by the number of names.
+//! 3. **Safe under the fork-join backend.** The store is sharded by
 //!    thread (each worker of `fastgl_tensor::parallel` records into its own
-//!    shard under an uncontended lock), and counter/histogram merges are
-//!    associative and commutative, so totals are identical at any
+//!    shard under an uncontended lock), and every merge is associative and
+//!    commutative, so counter totals are identical at any
 //!    `FASTGL_THREADS` setting.
-//! 3. **No dependencies.** Like the rest of the workspace, the crate builds
-//!    offline; the exporters write their JSON by hand through [`json`],
+//! 4. **No dependencies.** Like the rest of the workspace, the crate builds
+//!    offline; the exporter writes its JSON by hand through [`json`],
 //!    which is also the workspace's one JSON parser.
 //!
-//! # Two timelines
-//!
-//! Wall-clock spans ([`span()`]) measure real host execution. Simulated-time
-//! spans ([`record_sim_phases`]) bridge the simulator's `SimTime` /
-//! `PhaseBreakdown` accounting onto a second track of the same trace, so a
-//! chrome-trace export shows host work and the simulated GPU's phase
-//! breakdown side by side (`pid 1` = wall, `pid 2` = simulated).
+//! Simulated time is not a span: `fastgl-gpusim`'s `PhaseBreakdown` adds
+//! its sample, IO and compute nanoseconds to the `sim.*_ns` counters
+//! ([`names::SIM_SAMPLE_NS`] and its two siblings).
 //!
 //! # Example
 //!
@@ -38,15 +37,15 @@
 //! telemetry::set_enabled(true);
 //! telemetry::reset();
 //! {
-//!     let _outer = telemetry::span("epoch").with_u64("epoch", 0);
+//!     let _outer = telemetry::span("epoch");
 //!     let _inner = telemetry::span("gather");
 //!     telemetry::counter_add("rows_loaded", 128);
 //! }
 //! let snap = telemetry::snapshot();
 //! assert_eq!(snap.counters["rows_loaded"], 128);
-//! assert_eq!(snap.span_totals()["gather"].count, 1);
-//! let trace = telemetry::export::chrome_trace(&snap);
-//! assert!(trace.contains("\"traceEvents\""));
+//! assert_eq!(snap.spans["gather"].count, 1);
+//! let json = telemetry::export::to_json(&snap);
+//! assert!(json.contains("\"version\": 2"));
 //! telemetry::set_enabled(false);
 //! ```
 
@@ -58,8 +57,8 @@ pub mod metrics;
 pub mod names;
 pub mod span;
 
-pub use metrics::{counter_add, observe, Histogram};
-pub use span::{record_sim_phases, span, AttrValue, Event, Snapshot, SpanAgg, SpanGuard, Track};
+pub use metrics::{counter_add, observe, Histogram, Snapshot};
+pub use span::{span, SpanGuard};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -105,16 +104,15 @@ pub fn set_enabled(on: bool) {
     STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
-/// Collects everything recorded so far (events, counters, histograms)
-/// without clearing the buffers.
+/// Collects everything recorded so far (spans, counters, histograms)
+/// without clearing the store.
 pub fn snapshot() -> Snapshot {
-    span::collect()
+    metrics::collect()
 }
 
-/// Clears every event buffer, counter, and histogram, and rewinds the
-/// simulated-time cursor to zero.
+/// Clears every span total, counter, and histogram.
 pub fn reset() {
-    span::clear();
+    metrics::clear();
 }
 
 /// [`snapshot`] followed by [`reset`]: take ownership of the recorded data.
@@ -131,7 +129,7 @@ pub(crate) mod test_util {
     /// Serializes tests that mutate the global telemetry state.
     static LOCK: Mutex<()> = Mutex::new(());
 
-    /// Runs `f` with telemetry enabled and a clean buffer, restoring the
+    /// Runs `f` with telemetry enabled and a clean store, restoring the
     /// disabled state afterwards.
     pub(crate) fn with_telemetry<R>(f: impl FnOnce() -> R) -> R {
         let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -143,7 +141,7 @@ pub(crate) mod test_util {
         r
     }
 
-    /// Runs `f` with telemetry explicitly disabled and a clean buffer.
+    /// Runs `f` with telemetry explicitly disabled and a clean store.
     pub(crate) fn without_telemetry<R>(f: impl FnOnce() -> R) -> R {
         let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         super::set_enabled(false);
@@ -163,12 +161,12 @@ mod tests {
     fn disabled_records_nothing() {
         without_telemetry(|| {
             {
-                let _s = span("never").with_u64("x", 1);
+                let _s = span("never");
                 counter_add("never_counter", 5);
                 observe("never_hist", 10);
             }
             let snap = snapshot();
-            assert!(snap.events.is_empty(), "no events when disabled");
+            assert!(snap.spans.is_empty(), "no spans when disabled");
             assert!(snap.counters.is_empty(), "no counters when disabled");
             assert!(snap.histograms.is_empty(), "no histograms when disabled");
         });
@@ -177,11 +175,14 @@ mod tests {
     #[test]
     fn disabled_guard_is_allocation_free() {
         without_telemetry(|| {
-            // Attributes on an inactive guard must not allocate: the vec
-            // stays at capacity 0 because with_* early-outs.
-            let g = span("noop").with_u64("a", 1).with_str("c", "xyz");
-            assert!(!g.is_active());
-            assert_eq!(g.attr_capacity(), 0);
+            // Creating a shard is the store's only allocation; disabled
+            // entry points return before reaching one.
+            {
+                let _s = span("noop");
+                counter_add("noop_counter", 1);
+                observe("noop_hist", 1);
+            }
+            assert_eq!(metrics::shards_in_use(), 0);
         });
     }
 
@@ -204,10 +205,10 @@ mod tests {
             }
             counter_add("c", 1);
             let first = drain();
-            assert_eq!(first.events.len(), 1);
+            assert_eq!(first.spans["once"].count, 1);
             assert_eq!(first.counters["c"], 1);
             let second = snapshot();
-            assert!(second.events.is_empty());
+            assert!(second.spans.is_empty());
             assert!(second.counters.is_empty());
         });
     }

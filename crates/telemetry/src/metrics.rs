@@ -1,15 +1,22 @@
-//! Metrics: monotonically-merged counters and log2-bucketed histograms.
+//! The one telemetry store: counters, histograms and span totals.
 //!
-//! Like the event buffer, metrics are sharded by recording thread; a
-//! snapshot merges the shards. Both merges — summing counters, adding
-//! histogram buckets — are associative and commutative, so the totals do
-//! not depend on which worker thread recorded which increment and are
-//! identical at any `FASTGL_THREADS` setting.
+//! Every record lands in one of [`NUM_SHARDS`] shards selected by the
+//! recording thread's ordinal, so fork-join workers
+//! (`fastgl_tensor::parallel`) never contend on a single lock. A shard
+//! keeps one entry per name, so memory is bounded by the number of names
+//! × [`NUM_SHARDS`], whatever the run length. A snapshot merges the
+//! shards. Both merges — summing counters, adding histogram buckets — are
+//! associative and commutative, so the totals do not depend on which
+//! worker thread recorded which increment and are identical at any
+//! `FASTGL_THREADS` setting.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::span::{shard_index, NUM_SHARDS};
+/// Number of independent store shards; a small power of two well above
+/// the backend's typical worker count.
+pub const NUM_SHARDS: usize = 16;
 
 /// Number of histogram buckets: bucket 0 holds zero values, bucket `i > 0`
 /// holds values with `floor(log2(v)) == i - 1`, i.e. `[2^(i-1), 2^i)`.
@@ -116,21 +123,37 @@ impl Histogram {
     }
 }
 
-#[derive(Default)]
-struct MetricShard {
-    counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
+/// Everything recorded up to a point in time, merged over the shards.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Snapshot {
+    /// Wall-clock span durations per name, in nanoseconds.
+    pub spans: BTreeMap<&'static str, Histogram>,
+    /// Monotonic counters.
+    pub counters: BTreeMap<&'static str, u64>,
+    /// Log-bucketed histograms.
+    pub histograms: BTreeMap<&'static str, Histogram>,
 }
 
-#[allow(clippy::declare_interior_mutable_const)]
-const EMPTY: Mutex<Option<MetricShard>> = Mutex::new(None);
-static SHARDS: [Mutex<Option<MetricShard>>; NUM_SHARDS] = [EMPTY; NUM_SHARDS];
+/// One thread-sharded slice of the store: the same three maps a snapshot
+/// merges, created on the shard's first record.
+type Shard = Mutex<Option<Snapshot>>;
 
-fn with_shard(f: impl FnOnce(&mut MetricShard)) {
-    let mut guard = SHARDS[shard_index()]
+#[allow(clippy::declare_interior_mutable_const)]
+const EMPTY: Shard = Mutex::new(None);
+static SHARDS: [Shard; NUM_SHARDS] = [EMPTY; NUM_SHARDS];
+static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The calling thread's shard, assigned round-robin on first use.
+    static SHARD_INDEX: usize =
+        NEXT_THREAD.fetch_add(1, Ordering::Relaxed) % NUM_SHARDS;
+}
+
+fn with_shard(f: impl FnOnce(&mut Snapshot)) {
+    let mut guard = SHARDS[SHARD_INDEX.with(|i| *i)]
         .lock()
         .unwrap_or_else(|e| e.into_inner());
-    f(guard.get_or_insert_with(MetricShard::default));
+    f(guard.get_or_insert_with(Snapshot::default));
 }
 
 /// Adds `delta` to the named monotonic counter. A no-op when telemetry is
@@ -153,25 +176,29 @@ pub fn observe(name: &'static str, value: u64) {
     with_shard(|s| s.histograms.entry(name).or_default().record(value));
 }
 
-/// Merges every shard into `(counters, histograms)`.
-pub(crate) fn collect() -> (
-    BTreeMap<&'static str, u64>,
-    BTreeMap<&'static str, Histogram>,
-) {
-    let mut counters: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut histograms: BTreeMap<&'static str, Histogram> = BTreeMap::new();
+/// Records one closed span's duration under its name.
+pub(crate) fn record_span(name: &'static str, ns: u64) {
+    with_shard(|s| s.spans.entry(name).or_default().record(ns));
+}
+
+/// Merges every shard into one [`Snapshot`].
+pub(crate) fn collect() -> Snapshot {
+    let mut out = Snapshot::default();
     for shard in &SHARDS {
         let guard = shard.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(s) = guard.as_ref() {
+            for (&k, h) in &s.spans {
+                out.spans.entry(k).or_default().merge(h);
+            }
             for (&k, &v) in &s.counters {
-                *counters.entry(k).or_insert(0) += v;
+                *out.counters.entry(k).or_insert(0) += v;
             }
             for (&k, h) in &s.histograms {
-                histograms.entry(k).or_default().merge(h);
+                out.histograms.entry(k).or_default().merge(h);
             }
         }
     }
-    (counters, histograms)
+    out
 }
 
 /// Clears every shard.
@@ -179,6 +206,15 @@ pub(crate) fn clear() {
     for shard in &SHARDS {
         *shard.lock().unwrap_or_else(|e| e.into_inner()) = None;
     }
+}
+
+/// Shards holding any record: disabled telemetry must leave all empty.
+#[cfg(test)]
+pub(crate) fn shards_in_use() -> usize {
+    SHARDS
+        .iter()
+        .filter(|s| s.lock().unwrap_or_else(|e| e.into_inner()).is_some())
+        .count()
 }
 
 #[cfg(test)]

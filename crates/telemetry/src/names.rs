@@ -1,20 +1,20 @@
 //! Stable metric and span names shared between the emitting crates and
-//! consumers of the exported `telemetry.json` / chrome trace.
+//! consumers of the exported `telemetry.json`.
 //!
 //! Every counter, histogram and wall-clock span the workspace emits at
 //! runtime is named here; `fastgl-core`'s `registered_names` lint-test
 //! snapshots real runs and asserts each emitted metric name appears in
 //! [`all()`] and each span name in [`spans()`], so a typo'd string fails
 //! `cargo test` instead of silently forking a new time series. Consumers
-//! (the `INSIGHT_attribution` experiment, CI greps, dashboards) match on
+//! (the `INSIGHT_attribution` experiment, CI checks, dashboards) match on
 //! these constants rather than re-typing the strings.
 //!
 //! All counters are deterministic: increments are driven by the simulated
 //! workload, so totals are identical at any `FASTGL_THREADS` /
-//! `FASTGL_PREFETCH` setting. Wall-clock *histograms* (the
-//! `pipeline.*_ns` family) are the one timing-dependent family — their
-//! bucket shapes vary run to run, which is why the attribution keys its
-//! deterministic analyses off counters and simulated time only.
+//! `FASTGL_PREFETCH` setting. Wall-clock spans and the stall histograms
+//! (the `pipeline.*_ns` family) are timing-dependent — their durations
+//! vary run to run, which is why the attribution keys its deterministic
+//! analyses off counters and simulated time only.
 
 // ---------------------------------------------------------------------
 // Sampling and training counters.
@@ -70,6 +70,19 @@ pub const PIPELINE_BYTES_REUSE_SAVED: &str = "pipeline.bytes_reuse_saved";
 /// PCIe bytes avoided by the device feature cache
 /// (`rows_cached × row_bytes`).
 pub const PIPELINE_BYTES_CACHE_SAVED: &str = "pipeline.bytes_cache_saved";
+
+// ---------------------------------------------------------------------
+// Simulated phase counters (fastgl-gpusim `PhaseBreakdown`).
+// ---------------------------------------------------------------------
+
+/// Simulated nanoseconds of the sample phase, summed over epochs.
+pub const SIM_SAMPLE_NS: &str = "sim.sample_ns";
+
+/// Simulated nanoseconds of the memory-IO phase, summed over epochs.
+pub const SIM_IO_NS: &str = "sim.io_ns";
+
+/// Simulated nanoseconds of the compute phase, summed over epochs.
+pub const SIM_COMPUTE_NS: &str = "sim.compute_ns";
 
 // ---------------------------------------------------------------------
 // Simulated GPU memory-hierarchy counters (fastgl-gpusim).
@@ -129,26 +142,17 @@ pub const CHECKPOINT_LOADS: &str = "resilience.checkpoint_loads";
 /// Nodes per training batch (input + neighbourhood).
 pub const TRAINER_BATCH_NODES: &str = "trainer.batch_nodes";
 
-/// Sample-stage wall time doing work, nanoseconds per epoch.
-pub const PIPELINE_SAMPLE_BUSY_NS: &str = "pipeline.sample.busy_ns";
-
 /// Sample-stage wall time blocked on downstream backpressure.
 pub const PIPELINE_SAMPLE_STALL_OUT_NS: &str = "pipeline.sample.stall_out_ns";
 
 /// Sample-stage wall time starved waiting for upstream input.
 pub const PIPELINE_SAMPLE_STALL_IN_NS: &str = "pipeline.sample.stall_in_ns";
 
-/// Prepare-stage wall time doing work, nanoseconds per epoch.
-pub const PIPELINE_PREPARE_BUSY_NS: &str = "pipeline.prepare.busy_ns";
-
 /// Prepare-stage wall time blocked on downstream backpressure.
 pub const PIPELINE_PREPARE_STALL_OUT_NS: &str = "pipeline.prepare.stall_out_ns";
 
 /// Prepare-stage wall time starved waiting for sampled windows.
 pub const PIPELINE_PREPARE_STALL_IN_NS: &str = "pipeline.prepare.stall_in_ns";
-
-/// Execute-stage wall time doing work, nanoseconds per epoch.
-pub const PIPELINE_EXECUTE_BUSY_NS: &str = "pipeline.execute.busy_ns";
 
 /// Execute-stage wall time blocked on downstream backpressure (always
 /// zero today — execute is the terminal stage — but registered so the
@@ -234,6 +238,9 @@ pub fn all() -> &'static [&'static str] {
         PIPELINE_ROWS_CACHED,
         PIPELINE_BYTES_REUSE_SAVED,
         PIPELINE_BYTES_CACHE_SAVED,
+        SIM_SAMPLE_NS,
+        SIM_IO_NS,
+        SIM_COMPUTE_NS,
         GPUSIM_FLOPS,
         GPUSIM_BYTES_SHARED,
         GPUSIM_BYTES_L1,
@@ -249,21 +256,18 @@ pub fn all() -> &'static [&'static str] {
         CHECKPOINT_SAVES,
         CHECKPOINT_LOADS,
         TRAINER_BATCH_NODES,
-        PIPELINE_SAMPLE_BUSY_NS,
         PIPELINE_SAMPLE_STALL_OUT_NS,
         PIPELINE_SAMPLE_STALL_IN_NS,
-        PIPELINE_PREPARE_BUSY_NS,
         PIPELINE_PREPARE_STALL_OUT_NS,
         PIPELINE_PREPARE_STALL_IN_NS,
-        PIPELINE_EXECUTE_BUSY_NS,
         PIPELINE_EXECUTE_STALL_OUT_NS,
         PIPELINE_EXECUTE_STALL_IN_NS,
     ]
 }
 
 /// Every registered wall-clock span name: the list the
-/// `registered_names` lint-test checks the spans of runtime events
-/// against.
+/// `registered_names` lint-test checks the span names of a runtime
+/// snapshot against.
 pub fn spans() -> &'static [&'static str] {
     &[
         SPAN_TRAINER_EPOCH,

@@ -1,359 +1,43 @@
-//! The span API and the lock-sharded, thread-aware event buffer.
+//! Wall-clock spans.
 //!
-//! A [`SpanGuard`] is an RAII measurement: it captures a start timestamp on
-//! creation and records one [`Event`] on drop. Spans nest naturally — each
-//! thread keeps a depth counter, so the recorded events reconstruct the
-//! call tree without any parent pointers.
-//!
-//! Events land in one of [`NUM_SHARDS`] buffers selected by the recording
-//! thread's ordinal, so fork-join workers (`fastgl_tensor::parallel`) never
-//! contend on a single lock. The buffer is bounded: past
-//! [`MAX_EVENTS_PER_SHARD`] events a shard drops new events and counts the
-//! drops, which the exporters surface rather than silently truncating.
+//! A [`SpanGuard`] is an RAII measurement: it reads the clock when it
+//! opens and, when it drops, records its duration into the span histogram
+//! of its name in the sharded store ([`crate::metrics`]). Only per-name
+//! totals are kept, never individual spans, so the totals are exact at
+//! any run length. Nested spans each record their own duration, so an
+//! enclosing span's total includes its children's.
 
-use crate::metrics::{self, Histogram};
-use std::cell::Cell;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use crate::metrics;
 use std::time::Instant;
 
-/// Number of independent event-buffer shards; a small power of two well
-/// above the backend's typical worker count.
-pub const NUM_SHARDS: usize = 16;
-
-/// Per-shard event cap (see module docs); 2^20 events ≈ 100 MB of trace
-/// JSON, far beyond any useful single-run profile.
-pub const MAX_EVENTS_PER_SHARD: usize = 1 << 20;
-
-/// Which timeline an event belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Track {
-    /// Real host execution, on the worker thread with this ordinal.
-    Wall {
-        /// Stable per-process thread ordinal (1-based, assignment order).
-        thread: u64,
-    },
-    /// Simulated GPU time bridged from `fastgl-gpusim`'s accounting.
-    Sim,
-}
-
-/// A typed span/event attribute value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AttrValue {
-    /// Unsigned integer.
-    U64(u64),
-    /// String.
-    Str(String),
-}
-
-/// One completed span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event {
-    /// Span name (static in the instrumentation, owned here).
-    pub name: &'static str,
-    /// Timeline and thread.
-    pub track: Track,
-    /// Start, nanoseconds since the process telemetry epoch (wall) or the
-    /// simulated-time origin (sim).
-    pub start_ns: u64,
-    /// Duration in nanoseconds.
-    pub dur_ns: u64,
-    /// Nesting depth on the recording thread at the time the span opened
-    /// (0 = top level).
-    pub depth: u32,
-    /// Global record sequence number (buffer insertion order).
-    pub seq: u64,
-    /// Key-value attributes.
-    pub attrs: Vec<(&'static str, AttrValue)>,
-}
-
-struct Shard {
-    events: Mutex<Vec<Event>>,
-    dropped: AtomicU64,
-}
-
-#[allow(clippy::declare_interior_mutable_const)]
-const EMPTY_SHARD: Shard = Shard {
-    events: Mutex::new(Vec::new()),
-    dropped: AtomicU64::new(0),
-};
-
-static SHARDS: [Shard; NUM_SHARDS] = [EMPTY_SHARD; NUM_SHARDS];
-static SEQ: AtomicU64 = AtomicU64::new(0);
-static SIM_CURSOR: AtomicU64 = AtomicU64::new(0);
-static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
-static EPOCH: OnceLock<Instant> = OnceLock::new();
-
-thread_local! {
-    static THREAD_ORDINAL: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
-    static DEPTH: Cell<u32> = const { Cell::new(0) };
-}
-
-/// Nanoseconds since the process telemetry epoch (first use).
-fn now_ns() -> u64 {
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-/// The calling thread's stable ordinal (also the shard selector).
-pub(crate) fn thread_ordinal() -> u64 {
-    THREAD_ORDINAL.with(|t| *t)
-}
-
-pub(crate) fn shard_index() -> usize {
-    (thread_ordinal() as usize) % NUM_SHARDS
-}
-
-fn record(event: Event) {
-    let shard = &SHARDS[shard_index()];
-    let mut events = shard.events.lock().unwrap_or_else(|e| e.into_inner());
-    if events.len() >= MAX_EVENTS_PER_SHARD {
-        shard.dropped.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    events.push(event);
-}
-
-/// An RAII span: measures from creation to drop and records one [`Event`].
+/// An RAII span: measures from creation to drop and records the duration
+/// under its name.
 ///
-/// Created inactive (a no-op) when telemetry is disabled; the attribute
-/// builders early-out in that case, so a disabled span costs one atomic
-/// load and allocates nothing.
+/// Created inactive (a no-op) when telemetry is disabled, so a disabled
+/// span costs one atomic load.
 #[must_use = "a span measures until it is dropped"]
 #[derive(Debug)]
 pub struct SpanGuard {
     name: &'static str,
-    start_ns: u64,
-    depth: u32,
-    attrs: Vec<(&'static str, AttrValue)>,
-    active: bool,
+    /// The open time; `None` when telemetry was off at open.
+    start: Option<Instant>,
 }
 
 /// Opens a wall-clock span on the calling thread.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !crate::enabled() {
-        return SpanGuard {
-            name,
-            start_ns: 0,
-            depth: 0,
-            attrs: Vec::new(),
-            active: false,
-        };
-    }
-    let depth = DEPTH.with(|d| {
-        let v = d.get();
-        d.set(v + 1);
-        v
-    });
     SpanGuard {
         name,
-        start_ns: now_ns(),
-        depth,
-        attrs: Vec::new(),
-        active: true,
-    }
-}
-
-impl SpanGuard {
-    /// Attaches an unsigned-integer attribute.
-    #[inline]
-    pub fn with_u64(mut self, key: &'static str, value: u64) -> Self {
-        if self.active {
-            self.attrs.push((key, AttrValue::U64(value)));
-        }
-        self
-    }
-
-    /// Attaches a string attribute.
-    #[inline]
-    pub fn with_str(mut self, key: &'static str, value: impl Into<String>) -> Self {
-        if self.active {
-            self.attrs.push((key, AttrValue::Str(value.into())));
-        }
-        self
-    }
-
-    /// Whether this guard is recording.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
-    /// Capacity of the attribute buffer (observable no-allocation check).
-    pub fn attr_capacity(&self) -> usize {
-        self.attrs.capacity()
+        start: crate::enabled().then(Instant::now),
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.active {
-            return;
+        if let Some(start) = self.start {
+            metrics::record_span(self.name, start.elapsed().as_nanos() as u64);
         }
-        let end = now_ns();
-        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        record(Event {
-            name: self.name,
-            track: Track::Wall {
-                thread: thread_ordinal(),
-            },
-            start_ns: self.start_ns,
-            dur_ns: end.saturating_sub(self.start_ns),
-            depth: self.depth,
-            seq: SEQ.fetch_add(1, Ordering::Relaxed),
-            attrs: std::mem::take(&mut self.attrs),
-        });
     }
-}
-
-/// Bridges one phase breakdown onto the simulated timeline: an enclosing
-/// span named `label` covering the whole breakdown, with one nested span
-/// per `(phase name, duration ns)` laid back to back inside it.
-///
-/// This is how `fastgl-gpusim`'s `PhaseBreakdown` lands in the same trace
-/// as the wall-clock spans.
-pub fn record_sim_phases(label: &'static str, phases: &[(&'static str, u64)]) {
-    if !crate::enabled() {
-        return;
-    }
-    let total: u64 = phases.iter().map(|&(_, ns)| ns).sum();
-    let start = SIM_CURSOR.fetch_add(total, Ordering::Relaxed);
-    record(Event {
-        name: label,
-        track: Track::Sim,
-        start_ns: start,
-        dur_ns: total,
-        depth: 0,
-        seq: SEQ.fetch_add(1, Ordering::Relaxed),
-        attrs: Vec::new(),
-    });
-    let mut cursor = start;
-    for &(name, ns) in phases {
-        record(Event {
-            name,
-            track: Track::Sim,
-            start_ns: cursor,
-            dur_ns: ns,
-            depth: 1,
-            seq: SEQ.fetch_add(1, Ordering::Relaxed),
-            attrs: Vec::new(),
-        });
-        cursor += ns;
-    }
-}
-
-/// Aggregated statistics of one span name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SpanAgg {
-    /// Number of completed spans.
-    pub count: u64,
-    /// Summed duration, nanoseconds.
-    pub total_ns: u64,
-    /// Shortest span, nanoseconds.
-    pub min_ns: u64,
-    /// Longest span, nanoseconds.
-    pub max_ns: u64,
-}
-
-/// Everything recorded up to a point in time.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Snapshot {
-    /// Completed spans, in buffer-insertion (`seq`) order.
-    pub events: Vec<Event>,
-    /// Merged monotonic counters.
-    pub counters: BTreeMap<&'static str, u64>,
-    /// Merged log-bucketed histograms.
-    pub histograms: BTreeMap<&'static str, Histogram>,
-    /// Events discarded because a shard hit [`MAX_EVENTS_PER_SHARD`].
-    pub dropped_events: u64,
-}
-
-impl Snapshot {
-    /// Per-name aggregates over the **wall-clock** events.
-    pub fn span_totals(&self) -> BTreeMap<&'static str, SpanAgg> {
-        let mut out: BTreeMap<&'static str, SpanAgg> = BTreeMap::new();
-        for e in self.events.iter().filter(|e| e.track != Track::Sim) {
-            let agg = out.entry(e.name).or_insert(SpanAgg {
-                min_ns: u64::MAX,
-                ..SpanAgg::default()
-            });
-            agg.count += 1;
-            agg.total_ns += e.dur_ns;
-            agg.min_ns = agg.min_ns.min(e.dur_ns);
-            agg.max_ns = agg.max_ns.max(e.dur_ns);
-        }
-        out
-    }
-
-    /// Summed simulated nanoseconds per name over **top-level phase spans**
-    /// of the simulated track (depth 1 = the phases inside each bridged
-    /// breakdown; the depth-0 enclosing labels are excluded so phases are
-    /// not double-counted).
-    pub fn sim_phase_totals(&self) -> BTreeMap<&'static str, u64> {
-        let mut out: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for e in self
-            .events
-            .iter()
-            .filter(|e| e.track == Track::Sim && e.depth == 1)
-        {
-            *out.entry(e.name).or_insert(0) += e.dur_ns;
-        }
-        out
-    }
-
-    /// Distinct wall-clock thread ordinals that recorded events, sorted.
-    pub fn threads(&self) -> Vec<u64> {
-        let mut t: Vec<u64> = self
-            .events
-            .iter()
-            .filter_map(|e| match e.track {
-                Track::Wall { thread } => Some(thread),
-                Track::Sim => None,
-            })
-            .collect();
-        t.sort_unstable();
-        t.dedup();
-        t
-    }
-}
-
-/// Gathers all shards into a [`Snapshot`] (events sorted by `seq`).
-pub(crate) fn collect() -> Snapshot {
-    let mut events = Vec::new();
-    let mut dropped = 0;
-    for shard in &SHARDS {
-        events.extend(
-            shard
-                .events
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .iter()
-                .cloned(),
-        );
-        dropped += shard.dropped.load(Ordering::Relaxed);
-    }
-    events.sort_by_key(|e| e.seq);
-    let (counters, histograms) = metrics::collect();
-    Snapshot {
-        events,
-        counters,
-        histograms,
-        dropped_events: dropped,
-    }
-}
-
-/// Clears all shards, metrics, and the simulated-time cursor.
-pub(crate) fn clear() {
-    for shard in &SHARDS {
-        shard
-            .events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-        shard.dropped.store(0, Ordering::Relaxed);
-    }
-    metrics::clear();
-    SIM_CURSOR.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -361,42 +45,26 @@ mod tests {
     use crate::test_util::with_telemetry;
     use crate::{snapshot, span};
 
-    use super::*;
-
     #[test]
     fn spans_nest_and_order() {
         with_telemetry(|| {
             {
-                let _a = span("outer").with_u64("epoch", 3);
+                let _a = span("outer");
                 {
                     let _b = span("inner.first");
+                    std::thread::sleep(std::time::Duration::from_millis(1));
                 }
                 {
-                    let _c = span("inner.second").with_str("kind", "io");
+                    let _c = span("inner.second");
                 }
             }
-            let snap = snapshot();
-            assert_eq!(snap.events.len(), 3);
-            // Spans record on *close*, so children precede the parent.
-            assert_eq!(snap.events[0].name, "inner.first");
-            assert_eq!(snap.events[1].name, "inner.second");
-            assert_eq!(snap.events[2].name, "outer");
-            assert_eq!(snap.events[0].depth, 1);
-            assert_eq!(snap.events[1].depth, 1);
-            assert_eq!(snap.events[2].depth, 0);
-            // The parent encloses both children in time.
-            let outer = &snap.events[2];
-            for child in &snap.events[..2] {
-                assert!(child.start_ns >= outer.start_ns);
-                assert!(child.start_ns + child.dur_ns <= outer.start_ns + outer.dur_ns);
-            }
-            // Siblings are ordered.
-            assert!(snap.events[0].start_ns + snap.events[0].dur_ns <= snap.events[1].start_ns);
-            assert_eq!(
-                outer.attrs,
-                vec![("epoch", AttrValue::U64(3))],
-                "attributes survive"
-            );
+            let spans = snapshot().spans;
+            assert_eq!(spans.len(), 3);
+            assert!(spans.values().all(|h| h.count == 1));
+            // The parent closes after both children, so it encloses them.
+            let inner = spans["inner.first"].sum + spans["inner.second"].sum;
+            assert!(spans["inner.first"].sum >= 1_000_000);
+            assert!(spans["outer"].sum >= inner);
         });
     }
 
@@ -409,41 +77,16 @@ mod tests {
             {
                 let _s = span("once");
             }
-            let totals = snapshot().span_totals();
-            assert_eq!(totals["repeated"].count, 4);
-            assert_eq!(totals["once"].count, 1);
-            assert!(totals["repeated"].min_ns <= totals["repeated"].max_ns);
-            assert!(totals["repeated"].total_ns >= totals["repeated"].max_ns);
+            let spans = snapshot().spans;
+            assert_eq!(spans["repeated"].count, 4);
+            assert_eq!(spans["once"].count, 1);
+            assert!(spans["repeated"].min <= spans["repeated"].max);
+            assert!(spans["repeated"].sum >= spans["repeated"].max);
         });
     }
 
     #[test]
-    fn sim_phases_lay_out_back_to_back() {
-        with_telemetry(|| {
-            record_sim_phases("epoch0", &[("sample", 100), ("io", 300), ("compute", 600)]);
-            record_sim_phases("epoch1", &[("sample", 50), ("io", 150), ("compute", 300)]);
-            let snap = snapshot();
-            let sim: Vec<&Event> = snap
-                .events
-                .iter()
-                .filter(|e| e.track == Track::Sim)
-                .collect();
-            assert_eq!(sim.len(), 8, "2 labels + 6 phases");
-            // The second breakdown starts exactly where the first ended.
-            let e1 = sim.iter().find(|e| e.name == "epoch1").unwrap();
-            assert_eq!(e1.start_ns, 1000);
-            assert_eq!(e1.dur_ns, 500);
-            let totals = snap.sim_phase_totals();
-            assert_eq!(totals["sample"], 150);
-            assert_eq!(totals["io"], 450);
-            assert_eq!(totals["compute"], 900);
-            // Labels are depth 0 and not double-counted into phase totals.
-            assert!(!totals.contains_key("epoch0"));
-        });
-    }
-
-    #[test]
-    fn cross_thread_events_carry_distinct_ordinals() {
+    fn spans_closed_on_three_threads_merge_into_one_total() {
         with_telemetry(|| {
             std::thread::scope(|scope| {
                 for _ in 0..3 {
@@ -452,26 +95,22 @@ mod tests {
                     });
                 }
             });
-            let snap = snapshot();
-            assert_eq!(snap.events.len(), 3);
-            let threads = snap.threads();
-            assert_eq!(threads.len(), 3, "each worker has its own ordinal");
+            let spans = snapshot().spans;
+            assert_eq!(spans.len(), 1);
+            assert_eq!(spans["worker"].count, 3);
         });
     }
 
     #[test]
-    fn buffer_cap_counts_drops() {
-        // Use the sim track to hit one specific shard deterministically is
-        // not possible (shard = thread ordinal), so just verify the cap
-        // logic via the recording path on this thread.
+    fn span_count_is_exact_past_two_pow_twenty() {
+        // Spans are counted, not stored, so no per-shard cap applies:
+        // the count stays exact past 2^20 on one thread.
         with_telemetry(|| {
-            let over = 50;
-            for _ in 0..over {
-                record_sim_phases("tick", &[]);
+            let n = (1u64 << 20) + 3;
+            for _ in 0..n {
+                let _s = span("tick");
             }
-            let snap = snapshot();
-            assert_eq!(snap.events.len(), over);
-            assert_eq!(snap.dropped_events, 0);
+            assert_eq!(snapshot().spans["tick"].count, n);
         });
     }
 }

@@ -147,10 +147,7 @@ impl Matrix {
             "matmul dimension mismatch: {}x{} · {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let _span = fastgl_telemetry::span(names::SPAN_TENSOR_MATMUL)
-            .with_u64("m", self.rows as u64)
-            .with_u64("k", self.cols as u64)
-            .with_u64("n", rhs.cols as u64);
+        let _span = fastgl_telemetry::span(names::SPAN_TENSOR_MATMUL);
         fastgl_telemetry::counter_add(
             names::TENSOR_MATMUL_FLOPS,
             2 * (self.rows * self.cols * rhs.cols) as u64,
@@ -179,10 +176,7 @@ impl Matrix {
             "matmul_transpose_a dimension mismatch: ({}x{})ᵀ · {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let _span = fastgl_telemetry::span(names::SPAN_TENSOR_MATMUL_T_A)
-            .with_u64("m", self.cols as u64)
-            .with_u64("k", self.rows as u64)
-            .with_u64("n", rhs.cols as u64);
+        let _span = fastgl_telemetry::span(names::SPAN_TENSOR_MATMUL_T_A);
         fastgl_telemetry::counter_add(
             names::TENSOR_MATMUL_FLOPS,
             2 * (self.rows * self.cols * rhs.cols) as u64,
@@ -210,10 +204,7 @@ impl Matrix {
             "matmul_transpose_b dimension mismatch: {}x{} · ({}x{})ᵀ",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let _span = fastgl_telemetry::span(names::SPAN_TENSOR_MATMUL_T_B)
-            .with_u64("m", self.rows as u64)
-            .with_u64("k", self.cols as u64)
-            .with_u64("n", rhs.rows as u64);
+        let _span = fastgl_telemetry::span(names::SPAN_TENSOR_MATMUL_T_B);
         fastgl_telemetry::counter_add(
             names::TENSOR_MATMUL_FLOPS,
             2 * (self.rows * self.cols * rhs.rows) as u64,
@@ -347,9 +338,7 @@ impl Matrix {
             "flat buffer of {} elements is smaller than {num_rows} rows of {dim}",
             src.len()
         );
-        let _span = fastgl_telemetry::span(names::SPAN_TENSOR_GATHER)
-            .with_u64("rows", indices.len() as u64)
-            .with_u64("dim", dim as u64);
+        let _span = fastgl_telemetry::span(names::SPAN_TENSOR_GATHER);
         fastgl_telemetry::counter_add(names::TENSOR_GATHER_ROWS, indices.len() as u64);
         fastgl_telemetry::counter_add(names::TENSOR_GATHER_BYTES, (indices.len() * dim * 4) as u64);
         let mut out = Matrix::zeros(indices.len(), dim);

@@ -355,9 +355,7 @@ where
             .expect("a row slot is locked only to take it")
             .take()
             .expect("each chunk runs once");
-        let _span = fastgl_telemetry::span(fastgl_telemetry::names::SPAN_PARALLEL_CHUNK)
-            .with_u64("first", first as u64)
-            .with_u64("rows", (chunk.len() / row_len) as u64);
+        let _span = fastgl_telemetry::span(fastgl_telemetry::names::SPAN_PARALLEL_CHUNK);
         f(first, chunk)
     });
 }
@@ -394,9 +392,7 @@ where
     let slots: Vec<Mutex<Option<O>>> = ranges.iter().map(|_| Mutex::new(None)).collect();
     pool.run(t, &|i| {
         let range = ranges[i].clone();
-        let _span = fastgl_telemetry::span(fastgl_telemetry::names::SPAN_PARALLEL_CHUNK)
-            .with_u64("first", range.start as u64)
-            .with_u64("items", range.len() as u64);
+        let _span = fastgl_telemetry::span(fastgl_telemetry::names::SPAN_PARALLEL_CHUNK);
         let out = f(range);
         *slots[i]
             .lock()

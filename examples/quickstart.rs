@@ -8,10 +8,10 @@
 //! Generates a scaled synthetic ogbn-products, runs a GCN training epoch
 //! under both pipelines on the simulated 2-GPU RTX 3090 server, and prints
 //! the phase breakdown the paper's Fig. 1/3 are built from. With
-//! `FASTGL_TELEMETRY=1` the per-phase lines come from the telemetry
-//! subsystem's summary exporter instead, and FastGL's run is exported as
-//! `results/telemetry/quickstart.trace.json` (load it in Perfetto /
-//! `chrome://tracing`) plus `quickstart.telemetry.json`.
+//! `FASTGL_TELEMETRY=1` each run also prints the telemetry summary (wall
+//! spans, counters including the `sim.*_ns` phase totals, histograms),
+//! and FastGL's run is exported as
+//! `results/telemetry/quickstart.telemetry.json`.
 
 use fastgl::baselines::SystemKind;
 use fastgl::core::FastGlConfig;
@@ -47,32 +47,27 @@ fn main() {
             stats.rows_loaded, stats.rows_reused, stats.rows_cached,
         );
         println!("  bytes over PCIe: {:.1} MB", stats.bytes_h2d as f64 / 1e6);
+        let (s, i, c) = stats.breakdown.fractions();
+        println!(
+            "  phases     : sample {} ({:.0}%) | io {} ({:.0}%) | compute {} ({:.0}%)",
+            stats.breakdown.sample,
+            s * 100.0,
+            stats.breakdown.io,
+            i * 100.0,
+            stats.breakdown.compute,
+            c * 100.0,
+        );
         if telemetry::enabled() {
-            // The summary exporter renders the same sample/io/compute
-            // breakdown (plus wall-clock spans and counters) straight from
-            // the telemetry the pipeline recorded.
             let snap = telemetry::drain();
             print!("\n{}", telemetry::export::summary(&snap));
             if matches!(kind, SystemKind::FastGl) {
                 let dir = std::path::Path::new("results/telemetry");
                 match telemetry::export::write_to_dir(&snap, dir, "quickstart") {
-                    Ok((trace, perf)) => {
-                        println!("telemetry: {} + {}", trace.display(), perf.display());
-                    }
+                    Ok(perf) => println!("telemetry: {}", perf.display()),
                     Err(e) => eprintln!("warning: could not write telemetry: {e}"),
                 }
             }
         } else {
-            let (s, i, c) = stats.breakdown.fractions();
-            println!(
-                "  phases     : sample {} ({:.0}%) | io {} ({:.0}%) | compute {} ({:.0}%)",
-                stats.breakdown.sample,
-                s * 100.0,
-                stats.breakdown.io,
-                i * 100.0,
-                stats.breakdown.compute,
-                c * 100.0,
-            );
             println!("  (set FASTGL_TELEMETRY=1 for the full span/counter summary)");
         }
         totals.push(stats.total());

@@ -84,13 +84,13 @@ fn main() {
     );
 
     // With FASTGL_TELEMETRY=1 the whole scenario (sampling probes plus
-    // both epochs runs) is summarised and exported for Perfetto.
+    // both epochs runs) is summarised and exported as telemetry JSON.
     if telemetry::enabled() {
         let snap = telemetry::drain();
         print!("\n{}", telemetry::export::summary(&snap));
         let dir = std::path::Path::new("results/telemetry");
         match telemetry::export::write_to_dir(&snap, dir, "social_network") {
-            Ok((trace, perf)) => println!("telemetry: {} + {}", trace.display(), perf.display()),
+            Ok(perf) => println!("telemetry: {}", perf.display()),
             Err(e) => eprintln!("warning: could not write telemetry: {e}"),
         }
     }

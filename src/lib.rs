@@ -15,8 +15,8 @@
 //!   computation, and the FastGL training pipeline.
 //! * [`baselines`] — PyG-, DGL-, GNNLab-, GNNAdvisor-, and PaGraph-like
 //!   systems on the same substrate.
-//! * [`telemetry`] — spans, counters, and histograms over the training hot
-//!   paths, exported as chrome-trace and JSON (enable with
+//! * [`telemetry`] — per-name span totals, counters, and histograms over
+//!   the training hot paths, exported as JSON (enable with
 //!   `FASTGL_TELEMETRY=1`).
 //!
 //! # Quickstart
