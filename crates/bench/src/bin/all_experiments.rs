@@ -6,6 +6,8 @@
 //! Pass experiment IDs to run a subset (e.g. `all_experiments
 //! fig09_overall BENCH_pipeline`); an unknown ID exits with status 2 and
 //! lists the registered IDs. Set `FASTGL_QUICK=1` for a fast smoke pass.
+//! A malformed `FASTGL_*` setting exits with status 1 before anything
+//! runs.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -26,6 +28,10 @@ fn main() -> ExitCode {
             ids.join(", ")
         );
         return ExitCode::from(2);
+    }
+    if let Err(e) = fastgl_core::check_env() {
+        eprintln!("all_experiments: {e}");
+        return ExitCode::FAILURE;
     }
     let scale = fastgl_bench::BenchScale::from_env();
     let started = Instant::now();

@@ -15,11 +15,14 @@ pub const TELEMETRY_DIR: &str = "results/telemetry";
 /// The effective results directory: `FASTGL_RESULTS_DIR` when set (CI's
 /// perfdiff gate redirects fresh runs there, away from the committed
 /// baselines), [`RESULTS_DIR`] otherwise.
+///
+/// # Panics
+///
+/// If `FASTGL_RESULTS_DIR` is not UTF-8.
 pub fn results_dir() -> PathBuf {
-    std::env::var("FASTGL_RESULTS_DIR")
-        .ok()
-        .filter(|v| !v.is_empty())
-        .map_or_else(|| PathBuf::from(RESULTS_DIR), PathBuf::from)
+    fastgl_telemetry::settings::results_dir()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .unwrap_or_else(|| PathBuf::from(RESULTS_DIR))
 }
 
 /// The effective telemetry directory: `<results_dir()>/telemetry`.

@@ -3,6 +3,7 @@
 //! [`Report::from_json`], its inverse, reads it back for `perfdiff`.
 
 use fastgl_telemetry::json::{self, escape, Value};
+use fastgl_telemetry::settings::{self, SettingsError};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -105,10 +106,11 @@ impl Table {
 /// The run conditions a report was produced under, stamped into the JSON
 /// export so `perfdiff` can refuse apples-to-oranges comparisons (see
 /// DESIGN.md §11). Everything is recorded as the *effective* setting the
-/// run saw, environment overrides included.
+/// run saw, environment overrides included, as parsed by
+/// [`fastgl_telemetry::settings`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Provenance {
-    /// Scale profile: `"quick"` (`FASTGL_QUICK=1`) or `"default"`.
+    /// Scale profile: `"quick"` (`FASTGL_QUICK` on) or `"default"`.
     pub profile: String,
     /// `FASTGL_THREADS` override, or `"auto"` when unset.
     pub threads: String,
@@ -122,20 +124,22 @@ pub struct Provenance {
 
 impl Provenance {
     /// Captures the current process environment.
+    ///
+    /// # Panics
+    ///
+    /// If `FASTGL_QUICK`, `FASTGL_THREADS` or `FASTGL_PREFETCH` breaks its
+    /// rule (see [`fastgl_telemetry::settings`]).
     pub fn current() -> Self {
-        let env_or = |key: &str, default: &str| {
-            std::env::var(key)
-                .ok()
-                .filter(|v| !v.is_empty())
-                .unwrap_or_else(|| default.to_string())
+        let count = |setting: Result<Option<usize>, SettingsError>, unset: &str| {
+            setting
+                .unwrap_or_else(|e| panic!("{e}"))
+                .map_or_else(|| unset.to_string(), |n| n.to_string())
         };
-        let quick = std::env::var("FASTGL_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+        let quick = settings::quick().unwrap_or_else(|e| panic!("{e}"));
         Self {
             profile: if quick { "quick" } else { "default" }.to_string(),
-            threads: env_or("FASTGL_THREADS", "auto"),
-            prefetch: env_or("FASTGL_PREFETCH", "default"),
+            threads: count(settings::threads(), "auto"),
+            prefetch: count(settings::prefetch(), "default"),
             telemetry: fastgl_telemetry::enabled(),
             git: git_revision(),
         }

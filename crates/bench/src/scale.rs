@@ -51,11 +51,13 @@ impl BenchScale {
     }
 
     /// Reads the profile from the environment (`FASTGL_QUICK`).
+    ///
+    /// # Panics
+    ///
+    /// If `FASTGL_QUICK` is not a flag (see
+    /// [`fastgl_telemetry::settings`]).
     pub fn from_env() -> Self {
-        if std::env::var("FASTGL_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-        {
+        if fastgl_telemetry::settings::quick().unwrap_or_else(|e| panic!("{e}")) {
             Self::quick()
         } else {
             Self::default_profile()

@@ -1,8 +1,9 @@
 //! Configuration of the FastGL training pipeline.
 
-use crate::resilience::{FaultPlan, FaultPlanError};
+use crate::resilience::FaultPlan;
 use fastgl_gnn::ModelKind;
 use fastgl_gpusim::SystemSpec;
+use fastgl_telemetry::settings::{self, SettingsError, MAX_THREADS};
 use serde::{Deserialize, Serialize};
 
 /// Which ID-map strategy the sampler uses.
@@ -80,10 +81,10 @@ pub struct FastGlConfig {
     /// Master random seed.
     pub seed: u64,
     /// CPU worker threads for the host-side execution backend (dense
-    /// kernels, aggregation, sampling, feature gather). `None` defers to
-    /// the `FASTGL_THREADS` environment variable and then the machine's
-    /// core count; `Some(1)` forces the exact serial path. Results are
-    /// bit-identical at any setting.
+    /// kernels, aggregation, sampling, feature gather), at most
+    /// [`MAX_THREADS`]. `None` defers to the `FASTGL_THREADS` environment
+    /// variable and then the machine's core count; `Some(1)` forces the
+    /// exact serial path. Results are bit-identical at any setting.
     pub threads: Option<usize>,
     /// Telemetry collection (spans, counters, histograms). `None` defers
     /// to the `FASTGL_TELEMETRY` environment variable; `Some(true)` /
@@ -189,13 +190,13 @@ impl FastGlConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`FaultPlanError`] when `FASTGL_FAULTS` is set but does not
+    /// Returns [`SettingsError`] when `FASTGL_FAULTS` is set but does not
     /// parse; the message names the offending entry.
-    pub fn resolved_faults(&self) -> Result<Option<FaultPlan>, FaultPlanError> {
+    pub fn resolved_faults(&self) -> Result<Option<FaultPlan>, SettingsError> {
         if let Some(plan) = &self.faults {
             return Ok(Some(plan.clone()));
         }
-        FaultPlan::from_env()
+        env_faults()
     }
 
     /// The effective prefetch depth: the explicit setting, else the
@@ -203,8 +204,16 @@ impl FastGlConfig {
     ///
     /// The environment is re-read on every call so tests can vary it
     /// within one process.
+    ///
+    /// # Panics
+    ///
+    /// If the setting defers to a `FASTGL_PREFETCH` that is not a count.
     pub fn resolved_prefetch(&self) -> usize {
-        self.prefetch_windows.unwrap_or_else(env_prefetch)
+        self.prefetch_windows.unwrap_or_else(|| {
+            settings::prefetch()
+                .unwrap_or_else(|e| panic!("{e}"))
+                .unwrap_or(0)
+        })
     }
 
     /// Installs this config's thread count as the process-wide setting of
@@ -253,8 +262,10 @@ impl FastGlConfig {
         if self.hidden_dim == 0 {
             return Err("hidden_dim must be positive".into());
         }
-        if self.threads == Some(0) {
-            return Err("threads must be positive when set".into());
+        if let Some(t) = self.threads {
+            if !(1..=MAX_THREADS).contains(&t) {
+                return Err(format!("threads {t} outside 1..={MAX_THREADS}"));
+            }
         }
         Ok(())
     }
@@ -287,13 +298,31 @@ impl Default for FastGlConfig {
     }
 }
 
-/// The `FASTGL_PREFETCH` window-pipeline depth, else `0` (serial): the
-/// simulator's fallback and the numeric trainer's only depth setting.
-pub(crate) fn env_prefetch() -> usize {
-    std::env::var("FASTGL_PREFETCH")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
+/// Reads and checks every `FASTGL_*` variable, the fault plan's grammar
+/// included. Programs call this before any work and exit with status 1 on
+/// the error, so that no bad setting is met halfway through a run.
+///
+/// # Errors
+///
+/// The first variable that breaks its rule (see
+/// [`fastgl_telemetry::settings`]).
+pub fn check_env() -> Result<(), SettingsError> {
+    settings::check()?;
+    env_faults().map(drop)
+}
+
+/// `FASTGL_FAULTS` parsed into a plan; `None` when unset or blank.
+fn env_faults() -> Result<Option<FaultPlan>, SettingsError> {
+    let Some(text) = settings::faults()? else {
+        return Ok(None);
+    };
+    FaultPlan::parse(&text).map(Some).map_err(|e| {
+        SettingsError::new(
+            settings::FAULTS,
+            text,
+            format!("a fault plan such as 'pcie_stall@batch=7,oom@epoch=1'; {e}"),
+        )
+    })
 }
 
 #[cfg(test)]
@@ -368,6 +397,13 @@ mod tests {
         .validate()
         .is_err());
         assert!(FastGlConfig::default().with_threads(0).validate().is_err());
+        let capped = FastGlConfig::default().with_threads(MAX_THREADS);
+        capped.validate().unwrap();
+        let err = FastGlConfig::default()
+            .with_threads(MAX_THREADS + 1)
+            .validate()
+            .unwrap_err();
+        assert_eq!(err, "threads 257 outside 1..=256");
         let c = FastGlConfig {
             reorder_window: 1,
             ..Default::default()

@@ -42,7 +42,7 @@ pub mod trainer;
 
 pub use cache::FeatureCache;
 pub use compute::{ComputeEngine, ComputeResult};
-pub use config::{ComputeMode, FastGlConfig, IdMapKind, SampleDevice, SamplerKind};
+pub use config::{check_env, ComputeMode, FastGlConfig, IdMapKind, SampleDevice, SamplerKind};
 pub use executor::{PipelineExecutor, PipelineWallStats, StageWallStats};
 pub use hotness::{CacheRankPolicy, HotnessCounter};
 pub use pipeline::{CachePolicy, FastGl, Pipeline, PipelinePolicy};

@@ -249,10 +249,9 @@ impl Pipeline {
     /// # Panics
     ///
     /// Panics if `config.validate()` fails, if the policy dedicates every
-    /// GPU to sampling, or if the `FASTGL_FAULTS` environment variable is
-    /// set but malformed (the message names the offending entry; prefer
-    /// [`crate::FastGlConfig::resolved_faults`] to handle that case as a
-    /// typed error).
+    /// GPU to sampling, or if a setting the config defers to is malformed
+    /// (the message names the variable and its value; programs call
+    /// [`crate::check_env`] first to handle that case as a typed error).
     pub fn new(name: &'static str, config: FastGlConfig, policy: PipelinePolicy) -> Self {
         config.validate().expect("invalid pipeline configuration");
         assert!(
@@ -261,7 +260,7 @@ impl Pipeline {
         );
         let injector = config
             .resolved_faults()
-            .unwrap_or_else(|e| panic!("invalid fault plan: {e}"))
+            .unwrap_or_else(|e| panic!("{e}"))
             .map(FaultInjector::new);
         config.apply_threads();
         config.apply_telemetry();

@@ -15,8 +15,10 @@
 //! other bit is rejected.
 
 use fastgl_tensor::{AdamSlotState, AdamState};
+use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Magic bytes of the checkpoint format.
 const MAGIC: &[u8; 8] = b"FGLCKPT1";
@@ -133,31 +135,39 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Writes the checkpoint to `path` without ever exposing a partial
-    /// file there. The bytes go to the sibling temporary file `<path>.tmp`,
-    /// which is flushed and fsynced and then renamed over `path`. A crash
-    /// or an error at any point therefore leaves the previous checkpoint at
-    /// `path` intact and loadable; on error the temporary file is removed.
+    /// file there. The bytes go to a sibling temporary file that no other
+    /// save can pick (`<path>.<pid>.<n>.tmp`, `n` counting this process's
+    /// saves), which is flushed and fsynced and then renamed over `path`. A crash or an error at any point
+    /// therefore leaves the previous checkpoint at `path` intact and
+    /// loadable, and concurrent saves to one path each publish a whole
+    /// file; on error the temporary file is removed.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Io`] on filesystem failure.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
         let path = path.as_ref();
-        let tmp = temp_path(path);
+        self.save_via(&temp_path(path), path)
+    }
+
+    /// [`save`](Self::save) through the temporary file `tmp`, which must
+    /// not exist yet.
+    fn save_via(&self, tmp: &Path, path: &Path) -> Result<(), CheckpointError> {
+        let file = OpenOptions::new().write(true).create_new(true).open(tmp)?;
         let saved = self
-            .write_synced(&tmp)
-            .and_then(|()| Ok(std::fs::rename(&tmp, path)?));
+            .write_synced(file)
+            .and_then(|()| Ok(std::fs::rename(tmp, path)?));
         if saved.is_err() {
-            let _ = std::fs::remove_file(&tmp);
+            let _ = std::fs::remove_file(tmp);
         }
         saved?;
         fastgl_telemetry::counter_add(fastgl_telemetry::names::CHECKPOINT_SAVES, 1);
         Ok(())
     }
 
-    /// Writes the checkpoint to a fresh file at `path` and fsyncs it.
-    fn write_synced(&self, path: &Path) -> Result<(), CheckpointError> {
-        let mut w = BufWriter::new(std::fs::File::create(path)?);
+    /// Writes the checkpoint to `file` and fsyncs it.
+    fn write_synced(&self, file: File) -> Result<(), CheckpointError> {
+        let mut w = BufWriter::new(file);
         self.write_to(&mut w)?;
         w.flush()?;
         w.get_ref().sync_all()?;
@@ -171,7 +181,7 @@ impl Checkpoint {
     /// Returns [`CheckpointError::Io`] on filesystem failure and
     /// [`CheckpointError::BadFormat`] on a truncated or corrupt file.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
-        let mut r = BufReader::new(std::fs::File::open(path)?);
+        let mut r = BufReader::new(File::open(path)?);
         let ckpt = Self::read_from(&mut r)?;
         fastgl_telemetry::counter_add(fastgl_telemetry::names::CHECKPOINT_LOADS, 1);
         Ok(ckpt)
@@ -236,12 +246,16 @@ impl Checkpoint {
     }
 }
 
-/// The temporary file [`Checkpoint::save`] writes before renaming it over
-/// `path`: the same path with `.tmp` appended, so it sits in the same
-/// directory (a rename across file systems would not be atomic).
+/// A fresh name for the temporary file [`Checkpoint::save`] writes before
+/// renaming it over `path`: `<path>.<pid>.<n>.tmp`, in the same directory
+/// (a rename across file systems would not be atomic). `n` counts this
+/// process's saves, so no two saves, in this process or another, share a
+/// temporary file.
 fn temp_path(path: &Path) -> PathBuf {
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    let n = SAVES.fetch_add(1, Ordering::Relaxed);
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
+    tmp.push(format!(".{}.{n}.tmp", std::process::id()));
     PathBuf::from(tmp)
 }
 
@@ -423,6 +437,19 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The temporary files a save to `path` could have left behind.
+    fn temp_files(path: &Path) -> Vec<PathBuf> {
+        let prefix = format!("{}.", path.file_name().unwrap().to_string_lossy());
+        std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| {
+                let name = p.file_name().unwrap().to_string_lossy();
+                name.starts_with(&prefix) && name.ends_with(".tmp")
+            })
+            .collect()
+    }
+
     #[test]
     fn save_leaves_no_temp_file() {
         let dir = std::env::temp_dir().join("fastgl_ckpt_test");
@@ -430,7 +457,7 @@ mod tests {
         let path = dir.join("no_temp.ckpt");
         sample_checkpoint().save(&path).unwrap();
         assert!(path.is_file());
-        assert!(!temp_path(&path).exists());
+        assert_eq!(temp_files(&path), Vec::<PathBuf>::new());
         std::fs::remove_file(&path).ok();
     }
 
@@ -445,10 +472,69 @@ mod tests {
         // fail before it reaches the rename.
         let tmp = temp_path(&path);
         std::fs::create_dir_all(&tmp).unwrap();
-        let err = Checkpoint::default().save(&path).unwrap_err();
+        let err = Checkpoint::default().save_via(&tmp, &path).unwrap_err();
         assert!(matches!(err, CheckpointError::Io(_)), "{err}");
         assert_eq!(Checkpoint::load(&path).unwrap(), good);
         std::fs::remove_dir(&tmp).unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_rename_removes_the_temp_file() {
+        let dir = std::env::temp_dir().join("fastgl_ckpt_test");
+        // A non-empty directory at the target refuses the rename, after
+        // the temporary file was written.
+        let path = dir.join("failed_rename.ckpt");
+        std::fs::create_dir_all(path.join("occupied")).unwrap();
+        let err = sample_checkpoint().save(&path).unwrap_err();
+        assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+        assert_eq!(temp_files(&path), Vec::<PathBuf>::new());
+        std::fs::remove_dir_all(&path).unwrap();
+    }
+
+    #[test]
+    fn concurrent_saves_to_one_path_publish_whole_checkpoints() {
+        const WRITERS: u64 = 4;
+        const SAVES: u64 = 25;
+        let dir = std::env::temp_dir().join("fastgl_ckpt_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("concurrent-{}.ckpt", std::process::id()));
+        // Checkpoint `i` differs from every other in its cursor.
+        let numbered = |i: u64| {
+            let mut ckpt = sample_checkpoint();
+            ckpt.trainer.as_mut().unwrap().next_batch = i;
+            ckpt
+        };
+        numbered(WRITERS * SAVES).save(&path).unwrap();
+        let writing = AtomicU64::new(WRITERS);
+        let start = std::sync::Barrier::new(WRITERS as usize + 1);
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let (path, writing, start) = (&path, &writing, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..SAVES {
+                        let n = w * SAVES + i;
+                        numbered(n)
+                            .save(path)
+                            .unwrap_or_else(|e| panic!("save {n}: {e}"));
+                    }
+                    writing.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            start.wait();
+            loop {
+                let done = writing.load(Ordering::SeqCst) == 0;
+                let ckpt = Checkpoint::load(&path).unwrap_or_else(|e| panic!("load: {e}"));
+                let n = ckpt.trainer.as_ref().unwrap().next_batch;
+                assert!(n <= WRITERS * SAVES, "cursor {n} was never saved");
+                assert_eq!(ckpt, numbered(n), "a torn checkpoint");
+                if done {
+                    break;
+                }
+            }
+        });
+        assert_eq!(temp_files(&path), Vec::<PathBuf>::new());
         std::fs::remove_file(&path).ok();
     }
 

@@ -329,19 +329,6 @@ impl FaultPlan {
         Ok(value)
     }
 
-    /// Reads and parses the `FASTGL_FAULTS` environment variable; an
-    /// unset or blank variable means no injection (`Ok(None)`).
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error of a malformed value.
-    pub fn from_env() -> Result<Option<Self>, FaultPlanError> {
-        match std::env::var("FASTGL_FAULTS") {
-            Ok(v) if !v.trim().is_empty() => Self::parse(&v).map(Some),
-            _ => Ok(None),
-        }
-    }
-
     /// The plan's entries, in declaration order.
     pub fn specs(&self) -> &[FaultSpec] {
         &self.specs

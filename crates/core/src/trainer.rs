@@ -17,7 +17,7 @@ use crate::resilience::{Checkpoint, CheckpointError, TrainerState};
 use fastgl_gnn::{GnnModel, ModelConfig, ModelKind};
 use fastgl_graph::{Csr, DeterministicRng, FeatureStore, NodeId};
 use fastgl_sample::{FusedIdMap, MinibatchPlan, NeighborSampler, SampledSubgraph};
-use fastgl_telemetry::names;
+use fastgl_telemetry::{names, settings};
 use fastgl_tensor::{Adam, Matrix};
 
 /// Configuration of a convergence run.
@@ -90,7 +90,7 @@ impl ConvergenceRun {
 /// # Panics
 ///
 /// Panics if `features` is not materialized, `labels` does not cover the
-/// graph, or `train_nodes` is empty.
+/// graph, `train_nodes` is empty, or `FASTGL_PREFETCH` is not a count.
 pub fn train(
     graph: &Csr,
     features: &FeatureStore,
@@ -272,7 +272,8 @@ pub fn train_resumable(
             .map(|&l| labels[sg.nodes[l as usize].index()])
             .collect()
     };
-    let executor = PipelineExecutor::new(crate::config::env_prefetch());
+    let prefetch = settings::prefetch().unwrap_or_else(|e| panic!("{e}"));
+    let executor = PipelineExecutor::new(prefetch.unwrap_or(0));
 
     while next < total {
         let epoch = next / batches_per_epoch;

@@ -12,8 +12,7 @@
 //! * [`BaselineIdMap`](baseline::BaselineIdMap) — build table, synchronize,
 //!   assign local IDs, synchronize, transform (three kernels).
 //! * [`FusedIdMap`](fused::FusedIdMap) — Algorithm 2: CAS-insert and local
-//!   ID assignment fused in one kernel, then a transform kernel. A truly
-//!   parallel variant with real atomics validates lock-freedom; a
+//!   ID assignment fused in one kernel, then a transform kernel. A
 //!   sequential replay provides deterministic event counts for the
 //!   simulator.
 //!

@@ -55,6 +55,7 @@ pub mod export;
 pub mod json;
 pub mod metrics;
 pub mod names;
+pub mod settings;
 pub mod span;
 
 pub use metrics::{counter_add, observe, Histogram, Snapshot};
@@ -69,8 +70,14 @@ static STATE: AtomicU8 = AtomicU8::new(0);
 /// Whether telemetry is recording.
 ///
 /// Resolution order: the last [`set_enabled`] call, then the
-/// `FASTGL_TELEMETRY` environment variable (`1`/`true`/`on` enable), then
-/// off. The fast path is a single relaxed atomic load.
+/// `FASTGL_TELEMETRY` environment variable (read once, through
+/// [`settings::telemetry`]), then off. The fast path is a single relaxed
+/// atomic load.
+///
+/// # Panics
+///
+/// On the first query, if `FASTGL_TELEMETRY` is not a flag (see
+/// [`settings`]) and no [`set_enabled`] call came first.
 #[inline]
 pub fn enabled() -> bool {
     match STATE.load(Ordering::Relaxed) {
@@ -82,12 +89,7 @@ pub fn enabled() -> bool {
 
 #[cold]
 fn init_from_env() -> bool {
-    let on = std::env::var("FASTGL_TELEMETRY")
-        .map(|v| {
-            let v = v.trim().to_ascii_lowercase();
-            v == "1" || v == "true" || v == "on"
-        })
-        .unwrap_or(false);
+    let on = settings::telemetry().unwrap_or_else(|e| panic!("{e}"));
     // A concurrent set_enabled wins: only replace the uninitialised state.
     let _ = STATE.compare_exchange(
         0,

@@ -21,7 +21,9 @@
 //!
 //! The thread count resolves, in priority order: a programmatic override
 //! from [`set_num_threads`] (used by `FastGlConfig::threads`), the
-//! `FASTGL_THREADS` environment variable, then all available cores.
+//! `FASTGL_THREADS` environment variable (read once, through
+//! [`fastgl_telemetry::settings`]), then all available cores. Every source
+//! is capped at [`MAX_THREADS`].
 //!
 //! The pool runs one job at a time. The caller of a `par_*` call runs its
 //! first chunk itself while parked workers claim the others; a call that
@@ -36,38 +38,48 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 
+use fastgl_telemetry::settings::{self, MAX_THREADS};
+
 /// Programmatic thread-count override; `0` means "not set".
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// `FASTGL_THREADS` parsed once; `0` means "not set".
-static ENV_THREADS: OnceLock<usize> = OnceLock::new();
+/// `FASTGL_THREADS`, read once; `None` means "not set".
+static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
 
 /// Sets the backend's thread count for the whole process.
 ///
 /// `0` clears the override, falling back to `FASTGL_THREADS` and then the
 /// core count; `1` forces the exact serial execution path.
+///
+/// # Panics
+///
+/// If `threads` exceeds [`MAX_THREADS`].
 pub fn set_num_threads(threads: usize) {
+    assert!(
+        threads <= MAX_THREADS,
+        "{threads} threads exceed the backend's cap of {MAX_THREADS}"
+    );
     OVERRIDE.store(threads, Ordering::SeqCst);
 }
 
-/// The thread count the backend would use for a large enough input.
+/// The thread count the backend would use for a large enough input; never
+/// more than [`MAX_THREADS`].
+///
+/// # Panics
+///
+/// On the first call without an override, if `FASTGL_THREADS` is not a
+/// count from 1 to [`MAX_THREADS`] (see [`fastgl_telemetry::settings`]).
 pub fn num_threads() -> usize {
     let o = OVERRIDE.load(Ordering::SeqCst);
     if o > 0 {
         return o;
     }
-    let env = *ENV_THREADS.get_or_init(|| {
-        std::env::var("FASTGL_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(0)
-    });
-    if env > 0 {
-        return env;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    let env = *ENV_THREADS.get_or_init(|| settings::threads().unwrap_or_else(|e| panic!("{e}")));
+    env.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(MAX_THREADS)
+    })
 }
 
 /// Threads actually used for `items` work items at the given `grain`

@@ -26,6 +26,10 @@ fn demo_edge_list() -> PathBuf {
 }
 
 fn main() {
+    if let Err(e) = fastgl::core::check_env() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
     let path = std::env::args()
         .nth(1)
         .map(PathBuf::from)

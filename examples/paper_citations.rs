@@ -16,6 +16,10 @@ use fastgl::core::{FastGl, FastGlConfig, TrainingSystem};
 use fastgl::graph::Dataset;
 
 fn main() {
+    if let Err(e) = fastgl::core::check_env() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
     // 1. Full-scale argument: how big is a sampled subgraph on the real
     //    Papers100M, and what does it leave of 24 GB?
     let full = Dataset::Papers100M.spec();

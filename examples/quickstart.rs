@@ -19,6 +19,10 @@ use fastgl::graph::Dataset;
 use fastgl::telemetry;
 
 fn main() {
+    if let Err(e) = fastgl::core::check_env() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
     // A 1/512-scale ogbn-products: same degree structure, 200-wide
     // features, 47 classes.
     let data = Dataset::Products.generate_scaled(1.0 / 512.0, 42);

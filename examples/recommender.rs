@@ -15,6 +15,10 @@ use fastgl::graph::{Dataset, DeterministicRng, NodeId};
 use fastgl::sample::{FusedIdMap, RandomWalkSampler};
 
 fn main() {
+    if let Err(e) = fastgl::core::check_env() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
     // The co-purchase network (ogbn-products) at 1/512 scale.
     let data = Dataset::Products.generate_scaled(1.0 / 512.0, 21);
     println!(

@@ -19,6 +19,10 @@ use fastgl::sample::MinibatchPlan;
 use fastgl::telemetry;
 
 fn main() {
+    if let Err(e) = fastgl::core::check_env() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
     let data = Dataset::Reddit.generate_scaled(1.0 / 64.0, 7);
     telemetry::reset();
     println!(

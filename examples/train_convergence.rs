@@ -16,6 +16,10 @@ use fastgl::graph::generate::community::{self, CommunityConfig};
 use fastgl::graph::NodeId;
 
 fn main() {
+    if let Err(e) = fastgl::core::check_env() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
     let data = community::generate(
         &CommunityConfig {
             num_nodes: 3_000,

@@ -159,6 +159,10 @@ fn parse_args() -> Result<(Dataset, SystemKind, FastGlConfig, f64, u64), String>
 }
 
 fn main() -> ExitCode {
+    if let Err(e) = fastgl::core::check_env() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let (dataset, system, config, scale, epochs) = match parse_args() {
         Ok(parsed) => parsed,
         Err(e) => {

@@ -61,3 +61,23 @@ fn every_system_name_and_the_advisor_alias_parse() {
     let out = fastgl_sim(&["--system", "nosuch"]);
     assert_eq!(out.status.code(), Some(1));
 }
+
+#[test]
+fn malformed_settings_are_refused_before_generating_the_graph() {
+    for (var, value) in [
+        ("FASTGL_THREADS", "eight"),
+        ("FASTGL_PREFETCH", "two"),
+        ("FASTGL_TELEMETRY", "yes"),
+        ("FASTGL_FAULTS", "meteor_strike@batch=1"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fastgl-sim"))
+            .args(["--scale", "2048", "--epochs", "1"])
+            .env(var, value)
+            .output()
+            .expect("fastgl-sim starts");
+        assert_eq!(out.status.code(), Some(1), "{var}={value}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("{var}=\"{value}\"")), "{stderr}");
+        assert!(!stderr.contains("generating"), "{stderr}");
+    }
+}
