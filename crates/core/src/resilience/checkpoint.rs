@@ -137,10 +137,11 @@ impl Checkpoint {
     /// Writes the checkpoint to `path` without ever exposing a partial
     /// file there. The bytes go to a sibling temporary file that no other
     /// save can pick (`<path>.<pid>.<n>.tmp`, `n` counting this process's
-    /// saves), which is flushed and fsynced and then renamed over `path`. A crash or an error at any point
-    /// therefore leaves the previous checkpoint at `path` intact and
-    /// loadable, and concurrent saves to one path each publish a whole
-    /// file; on error the temporary file is removed.
+    /// saves), which is flushed and fsynced and then renamed over `path`.
+    /// A crash or an error at any point therefore leaves the previous
+    /// checkpoint at `path` intact and loadable, and concurrent saves to
+    /// one path each publish a whole file; on error the temporary file is
+    /// removed.
     ///
     /// # Errors
     ///
