@@ -14,11 +14,11 @@
 
 use crate::executor::{PipelineExecutor, WindowPlan};
 use crate::resilience::{Checkpoint, CheckpointError, TrainerState};
-use fastgl_gnn::{GnnModel, ModelConfig, ModelKind};
+use fastgl_gnn::{GnnModel, ModelConfig, ModelKind, Rows};
 use fastgl_graph::{Csr, DeterministicRng, FeatureStore, NodeId};
 use fastgl_sample::{FusedIdMap, MinibatchPlan, NeighborSampler, SampledSubgraph};
 use fastgl_telemetry::{names, settings};
-use fastgl_tensor::{Adam, Matrix};
+use fastgl_tensor::Adam;
 
 /// Configuration of a convergence run.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,9 +194,10 @@ pub fn train_resumable(
     resume: Option<&Checkpoint>,
     halt_after: Option<u64>,
 ) -> Result<TrainOutcome, CheckpointError> {
-    let feats = features
-        .as_slice()
-        .expect("convergence training needs materialized features");
+    assert!(
+        features.as_slice().is_some(),
+        "convergence training needs materialized features"
+    );
     assert_eq!(labels.len() as u64, graph.num_nodes(), "one label per node");
     assert!(!train_nodes.is_empty(), "no training nodes");
     let num_classes = labels.iter().copied().max().unwrap_or(0) as usize + 1;
@@ -260,12 +261,6 @@ pub fn train_resumable(
         next = st.next_batch;
     }
 
-    // Gather a subgraph's feature rows (the memory IO phase); runs on the
-    // parallel backend above the gather cutoff.
-    let gather = |sg: &SampledSubgraph| -> Matrix {
-        let idx: Vec<usize> = sg.nodes.iter().map(|n| n.index()).collect();
-        Matrix::gather_flat(feats, dim, labels.len(), &idx)
-    };
     let seed_labels = |sg: &SampledSubgraph| -> Vec<u32> {
         sg.seed_locals
             .iter()
@@ -310,12 +305,13 @@ pub fn train_resumable(
                     let sg = &subgraphs[idx];
                     let _iter_span = fastgl_telemetry::span(names::SPAN_TRAINER_ITERATION);
                     fastgl_telemetry::observe(names::TRAINER_BATCH_NODES, sg.num_nodes());
-                    let x = gather(sg);
                     let batch_labels = seed_labels(sg);
                     opt.next_iteration();
+                    // Layer 0 reads the batch's feature rows from the store
+                    // in place, with the bits of a gathered copy.
                     let logits = {
                         let _fwd = fastgl_telemetry::span(names::SPAN_TRAINER_FORWARD);
-                        model.forward(sg, &x)
+                        model.forward(sg, Rows::store(features, &sg.nodes))
                     };
                     let out = fastgl_tensor::loss::softmax_cross_entropy(&logits, &batch_labels);
                     {
@@ -345,7 +341,7 @@ pub fn train_resumable(
             for seeds in val_nodes.chunks(config.batch_size) {
                 let (sg, _) = sampler.sample(graph, seeds, &id_map, &mut val_rng);
                 let batch_labels = seed_labels(&sg);
-                let (_, acc) = model.evaluate(&sg, &gather(&sg), &batch_labels);
+                let (_, acc) = model.evaluate(&sg, Rows::store(features, &sg.nodes), &batch_labels);
                 correct += acc * batch_labels.len() as f64;
                 total_eval += batch_labels.len();
             }
@@ -383,7 +379,9 @@ pub fn train_resumable(
         let plan = MinibatchPlan::new(train_nodes, config.batch_size, config.seed, epoch);
         let mut rng = epoch_windows(&plan, config, epoch).rng(r);
         let (sg, _) = sampler.sample(graph, plan.batch(r), &id_map, &mut rng);
-        model.evaluate(&sg, &gather(&sg), &seed_labels(&sg)).1
+        model
+            .evaluate(&sg, Rows::store(features, &sg.nodes), &seed_labels(&sg))
+            .1
     };
 
     Ok(TrainOutcome::Complete(ConvergenceRun {

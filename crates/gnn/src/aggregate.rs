@@ -5,7 +5,11 @@
 //! on the CPU: destination `u` of a block combines the rows of its sampled
 //! sources. The *timing* of this kernel on the simulated GPU comes from
 //! `fastgl-gpusim`; the numerics here are what actually trains.
+//!
+//! The forward reads its input as [`Rows`]: a matrix, or at layer 0 the
+//! feature store in place, with the same adds in the same order.
 
+use crate::Rows;
 use fastgl_sample::Block;
 use fastgl_tensor::{parallel, Matrix};
 
@@ -16,25 +20,25 @@ use fastgl_tensor::{parallel, Matrix};
 ///
 /// # Panics
 ///
-/// Panics if a source index exceeds `z.rows()`.
-pub fn mean_aggregate(block: &Block, z: &Matrix) -> Matrix {
-    weighted_aggregate(block, z, |deg| 1.0 / deg as f32)
+/// Panics if a source index exceeds `z`'s rows.
+pub fn mean_aggregate<'a>(block: &Block, z: impl Into<Rows<'a>>) -> Matrix {
+    weighted_aggregate(block, z.into(), |deg| 1.0 / deg as f32)
 }
 
 /// Sum aggregation: `out[u] = Σ_{v∈N(u)} z[v]` (GIN's aggregator).
 ///
 /// # Panics
 ///
-/// Panics if a source index exceeds `z.rows()`.
-pub fn sum_aggregate(block: &Block, z: &Matrix) -> Matrix {
-    weighted_aggregate(block, z, |_| 1.0)
+/// Panics if a source index exceeds `z`'s rows.
+pub fn sum_aggregate<'a>(block: &Block, z: impl Into<Rows<'a>>) -> Matrix {
+    weighted_aggregate(block, z.into(), |_| 1.0)
 }
 
 /// Minimum destination rows per aggregation worker; a chunk this size does
 /// enough row-adds to amortise spawn/join even for skinny feature dims.
 const AGGREGATE_GRAIN_DST: usize = 128;
 
-fn weighted_aggregate(block: &Block, z: &Matrix, weight: impl Fn(usize) -> f32 + Sync) -> Matrix {
+fn weighted_aggregate(block: &Block, z: Rows<'_>, weight: impl Fn(usize) -> f32 + Sync) -> Matrix {
     let d = z.cols();
     let mut out = Matrix::zeros(block.num_dst(), d);
     if d == 0 {

@@ -5,6 +5,7 @@
 //! The paper's GAT uses 8 heads of dimension 8 (§6.1).
 
 use super::{activate, activate_backward, GnnLayer};
+use crate::Rows;
 use fastgl_sample::Block;
 use fastgl_tensor::init::xavier_uniform;
 use fastgl_tensor::ops::softmax_slice;
@@ -70,8 +71,12 @@ impl GatLayer {
 }
 
 impl GnnLayer for GatLayer {
-    fn forward(&mut self, block: &Block, input: &Matrix) -> Matrix {
+    fn forward(&mut self, block: &Block, input: Rows<'_>) -> Matrix {
         let f = self.head_dim;
+        // The weight gradient reads the input again, so it is kept as a
+        // matrix: at layer 0 this gathers the feature rows once, and the
+        // gathered matrix itself is cached.
+        let input = input.to_matrix();
         let z = input.matmul(&self.weight);
         let nnz = block.num_edges() as usize;
         let mut alphas = vec![0.0f32; nnz * self.heads];
@@ -128,7 +133,7 @@ impl GnnLayer for GatLayer {
             }
         }
 
-        self.input = Some(input.clone());
+        self.input = Some(input);
         self.z = Some(z);
         self.alphas = alphas;
         self.e_pre = e_pre;
@@ -257,7 +262,7 @@ mod tests {
     fn forward_shape_multi_head() {
         let block = tiny_block();
         let x = input(4, 3, 1);
-        let out = layer(4, 2, true).forward(&block, &x);
+        let out = layer(4, 2, true).forward(&block, (&x).into());
         assert_eq!((out.rows(), out.cols()), (2, 8));
     }
 
@@ -266,7 +271,7 @@ mod tests {
         let block = tiny_block();
         let x = input(4, 3, 2);
         let mut l = layer(2, 3, false);
-        l.forward(&block, &x);
+        l.forward(&block, (&x).into());
         for i in 0..block.num_dst() {
             let base = block.src_offsets[i] as usize;
             let n = block.sources_of(i).len();
@@ -299,17 +304,17 @@ mod tests {
         let x = input(4, 3, 7);
         let upstream = input(2, 4, 8);
         let mut l = layer(2, 2, false);
-        l.forward(&block, &x);
+        l.forward(&block, (&x).into());
         l.backward(&block, &upstream, true);
         let analytic = l.grad_attn_l.clone();
         let eps = 1e-2;
         for i in 0..analytic.as_slice().len() {
             let mut lp = layer(2, 2, false);
             lp.attn_l.as_mut_slice()[i] += eps;
-            let op = lp.forward(&block, &x);
+            let op = lp.forward(&block, (&x).into());
             let mut lm = layer(2, 2, false);
             lm.attn_l.as_mut_slice()[i] -= eps;
-            let om = lm.forward(&block, &x);
+            let om = lm.forward(&block, (&x).into());
             let fd: f32 = op
                 .as_slice()
                 .iter()
@@ -329,7 +334,7 @@ mod tests {
         let x = input(4, 3, 9);
         let upstream = input(2, 4, 10);
         let mut l = layer(2, 2, false);
-        l.forward(&block, &x);
+        l.forward(&block, (&x).into());
         l.backward(&block, &upstream, true);
         let mut opt = Sgd::new(0.05);
         assert_eq!(l.apply_grads(&mut opt, 0), 3);

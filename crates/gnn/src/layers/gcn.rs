@@ -6,6 +6,7 @@
 
 use super::{activate, activate_backward, add_bias, column_sums, GnnLayer};
 use crate::aggregate::{mean_aggregate, mean_aggregate_backward};
+use crate::Rows;
 use fastgl_sample::Block;
 use fastgl_tensor::init::{xavier_uniform, zeros_bias};
 use fastgl_tensor::Matrix;
@@ -49,7 +50,7 @@ impl GcnLayer {
 }
 
 impl GnnLayer for GcnLayer {
-    fn forward(&mut self, block: &Block, input: &Matrix) -> Matrix {
+    fn forward(&mut self, block: &Block, input: Rows<'_>) -> Matrix {
         // Aggregate-then-update, as the paper's Eq. 1/2 formulates it:
         // h_u = Σ w_uv x_v over the raw (wide) features, then the dense
         // update. This is the order that makes the aggregation the
@@ -57,7 +58,7 @@ impl GnnLayer for GcnLayer {
         let agg = mean_aggregate(block, input);
         let mut z = agg.matmul(&self.weight);
         add_bias(&mut z, &self.bias);
-        self.input_rows = input.rows();
+        self.input_rows = input.len();
         self.aggregated = Some(agg);
         activate(z, self.activation, &mut self.pre_activation)
     }
@@ -111,7 +112,7 @@ mod tests {
         let block = tiny_block();
         let x = input(4, 3, 1);
         let mut l = layer(true);
-        let out = l.forward(&block, &x);
+        let out = l.forward(&block, (&x).into());
         assert_eq!(out.rows(), 2);
         assert_eq!(out.cols(), 2);
     }
@@ -121,7 +122,7 @@ mod tests {
         let block = tiny_block();
         let x = input(4, 3, 2);
         let mut l = layer(true);
-        let out = l.forward(&block, &x);
+        let out = l.forward(&block, (&x).into());
         assert!(out.as_slice().iter().all(|&v| v >= 0.0));
     }
 
@@ -147,17 +148,17 @@ mod tests {
         let x = input(4, 3, 7);
         let upstream = input(2, 2, 8);
         let mut l = layer(false);
-        l.forward(&block, &x);
+        l.forward(&block, (&x).into());
         l.backward(&block, &upstream, true);
         let analytic = l.grad_weight.clone();
         let eps = 1e-2;
         for i in 0..analytic.as_slice().len() {
             let mut lp = layer(false);
             lp.weight.as_mut_slice()[i] += eps;
-            let op = lp.forward(&block, &x);
+            let op = lp.forward(&block, (&x).into());
             let mut lm = layer(false);
             lm.weight.as_mut_slice()[i] -= eps;
-            let om = lm.forward(&block, &x);
+            let om = lm.forward(&block, (&x).into());
             let fd: f32 = op
                 .as_slice()
                 .iter()
@@ -177,7 +178,7 @@ mod tests {
         let x = input(4, 3, 9);
         let upstream = input(2, 2, 10);
         let mut l = layer(false);
-        l.forward(&block, &x);
+        l.forward(&block, (&x).into());
         l.backward(&block, &upstream, true);
         let w_before = l.weight.clone();
         let mut opt = Sgd::new(0.1);

@@ -6,6 +6,7 @@
 
 use super::{activate, activate_backward, add_bias, column_sums, GnnLayer};
 use crate::aggregate::{sum_aggregate, sum_aggregate_backward};
+use crate::Rows;
 use fastgl_sample::Block;
 use fastgl_tensor::init::{xavier_uniform, zeros_bias};
 use fastgl_tensor::ops::{relu, relu_backward};
@@ -66,7 +67,7 @@ impl GinLayer {
 }
 
 impl GnnLayer for GinLayer {
-    fn forward(&mut self, block: &Block, input: &Matrix) -> Matrix {
+    fn forward(&mut self, block: &Block, input: Rows<'_>) -> Matrix {
         let mut agg = sum_aggregate(block, input);
         if self.epsilon != 0.0 {
             for (i, &dst) in block.dst_locals.iter().enumerate() {
@@ -80,7 +81,7 @@ impl GnnLayer for GinLayer {
         let r = relu(&h1);
         let mut out = r.matmul(&self.w2);
         add_bias(&mut out, &self.b2);
-        self.input_rows = input.rows();
+        self.input_rows = input.len();
         self.agg = Some(agg);
         self.hidden = Some(r);
         activate(out, self.activation, &mut self.out_pre)
@@ -150,7 +151,7 @@ mod tests {
     fn forward_shape() {
         let block = tiny_block();
         let x = input(4, 3, 1);
-        let out = layer(0.0, true).forward(&block, &x);
+        let out = layer(0.0, true).forward(&block, (&x).into());
         assert_eq!((out.rows(), out.cols()), (2, 2));
     }
 
@@ -174,8 +175,8 @@ mod tests {
     fn epsilon_changes_output() {
         let block = tiny_block();
         let x = input(4, 3, 6);
-        let o1 = layer(0.0, false).forward(&block, &x);
-        let o2 = layer(1.0, false).forward(&block, &x);
+        let o1 = layer(0.0, false).forward(&block, (&x).into());
+        let o2 = layer(1.0, false).forward(&block, (&x).into());
         assert_ne!(o1, o2);
     }
 
@@ -185,7 +186,7 @@ mod tests {
         let x = input(4, 3, 7);
         let upstream = input(2, 2, 8);
         let mut l = layer(0.0, false);
-        l.forward(&block, &x);
+        l.forward(&block, (&x).into());
         l.backward(&block, &upstream, true);
         let mut opt = Sgd::new(0.01);
         assert_eq!(l.apply_grads(&mut opt, 0), 4);

@@ -5,6 +5,7 @@ pub mod gcn;
 pub mod gin;
 pub mod sage;
 
+use crate::Rows;
 use fastgl_sample::Block;
 use fastgl_tensor::ops::{relu, relu_backward};
 use fastgl_tensor::{Matrix, Optimizer};
@@ -12,20 +13,21 @@ use std::borrow::Cow;
 
 /// A GNN layer operating on one subgraph block.
 ///
-/// `forward` caches what `backward` reads and nothing more: GCN, SAGE and
-/// GIN keep only the input's row count (plus their own intermediates),
-/// while GAT keeps a copy of its input because its weight gradient is
-/// `Xᵀ·d_z`. `backward` always accumulates every parameter gradient
-/// internally; it computes the gradient with respect to the layer input
-/// only when the caller asks for it, which a model never does for its
-/// first layer (that input is the gathered feature matrix, not a
-/// parameter). A layer names its parameters once, in
+/// `forward` reads its input as [`Rows`]: the previous layer's output, or
+/// at layer 0 the feature store in place. It caches what `backward` reads
+/// and nothing more: GCN, SAGE and GIN keep only the input's row count
+/// (plus their own intermediates), while GAT keeps its input as a matrix
+/// because its weight gradient is `Xᵀ·d_z`. `backward` always accumulates
+/// every parameter gradient internally; it computes the gradient with
+/// respect to the layer input only when the caller asks for it, which a
+/// model never does for its first layer (that input is the feature store,
+/// not a parameter). A layer names its parameters once, in
 /// [`params_and_grads`](Self::params_and_grads); `params`, `param_count`
 /// and `apply_grads` follow that list.
 pub trait GnnLayer {
     /// Computes the layer output over the block's destination nodes from
     /// `input`, whose rows cover the block's source ID space.
-    fn forward(&mut self, block: &Block, input: &Matrix) -> Matrix;
+    fn forward(&mut self, block: &Block, input: Rows<'_>) -> Matrix;
 
     /// Backpropagates `grad_out` (rows = destinations) and accumulates the
     /// parameter gradients. Returns the gradient with respect to the
@@ -156,13 +158,13 @@ pub(crate) mod test_util {
         tol: f32,
     ) {
         let mut layer = make_layer();
-        layer.forward(block, input);
+        layer.forward(block, input.into());
         let grad = layer
             .backward(block, upstream, true)
             .expect("an input gradient was asked for");
         let loss = |m: &Matrix| -> f32 {
             let mut l = make_layer();
-            let out = l.forward(block, m);
+            let out = l.forward(block, m.into());
             out.as_slice()
                 .iter()
                 .zip(upstream.as_slice())
@@ -211,8 +213,8 @@ pub(crate) mod test_util {
             let mut with = make(name);
             let mut without = make(name);
             let initial = bits(&*with);
-            let out = with.forward(&block, &x);
-            assert_eq!(out, without.forward(&block, &x), "{name}");
+            let out = with.forward(&block, (&x).into());
+            assert_eq!(out, without.forward(&block, (&x).into()), "{name}");
             let upstream = input(out.rows(), out.cols(), 12);
             let grad = with.backward(&block, &upstream, true);
             assert_eq!(grad.map(|g| (g.rows(), g.cols())), Some((4, 3)), "{name}");
@@ -224,6 +226,42 @@ pub(crate) mod test_util {
             without.apply_grads(&mut Sgd::new(0.1), 0);
             assert_ne!(bits(&*with), initial, "{name}: the step moved nothing");
             assert_eq!(bits(&*with), bits(&*without), "{name}");
+        }
+    }
+
+    /// A layer reading the feature store in place gives the bits of the
+    /// same layer reading the gathered rows: its output and every
+    /// parameter gradient. GIN runs with ε ≠ 0 and SAGE with its self
+    /// term, so the destination-row reads are covered too.
+    #[test]
+    fn store_read_matches_the_gathered_rows() {
+        use fastgl_graph::{FeatureStore, NodeId};
+        let store = FeatureStore::materialized(input(6, 3, 13).as_slice().to_vec(), 3);
+        let nodes = [NodeId(4), NodeId(1), NodeId(5), NodeId(0)];
+        let gathered = Rows::store(&store, &nodes).to_matrix();
+        let block = tiny_block();
+        let upstream = input(2, 2, 14);
+        let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+        for name in ["GCN", "SAGE", "GIN", "GAT"] {
+            let run = |rows: Rows<'_>| -> Vec<Vec<u32>> {
+                let rng = &mut fastgl_graph::DeterministicRng::seed(5);
+                let mut layer: Box<dyn GnnLayer> = match name {
+                    "GCN" => Box::new(gcn::GcnLayer::new(3, 2, true, rng)),
+                    "SAGE" => Box::new(sage::SageLayer::new(3, 2, true, rng)),
+                    "GIN" => Box::new(gin::GinLayer::new(3, 4, 2, 0.3, true, rng)),
+                    _ => Box::new(gat::GatLayer::new(3, 1, 2, true, rng)),
+                };
+                let out = layer.forward(&block, rows);
+                layer.backward(&block, &upstream, false);
+                let mut all = vec![bits(&out)];
+                all.extend(layer.params_and_grads().into_iter().map(|(_, g)| bits(g)));
+                all
+            };
+            assert_eq!(
+                run(Rows::store(&store, &nodes)),
+                run((&gathered).into()),
+                "{name}"
+            );
         }
     }
 

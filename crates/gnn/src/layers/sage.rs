@@ -7,6 +7,7 @@
 
 use super::{activate, activate_backward, add_bias, column_sums, GnnLayer};
 use crate::aggregate::{mean_aggregate, mean_aggregate_backward};
+use crate::Rows;
 use fastgl_sample::Block;
 use fastgl_tensor::init::{xavier_uniform, zeros_bias};
 use fastgl_tensor::Matrix;
@@ -48,20 +49,22 @@ impl SageLayer {
         }
     }
 
-    fn gather_self_rows(block: &Block, input: &Matrix) -> Matrix {
+    /// The destination rows the self weight reads; at layer 0 they are
+    /// copied from the feature store, and only they are.
+    fn gather_self_rows(block: &Block, input: Rows<'_>) -> Matrix {
         let indices: Vec<usize> = block.dst_locals.iter().map(|&d| d as usize).collect();
-        input.gather_rows(&indices)
+        input.gather(&indices)
     }
 }
 
 impl GnnLayer for SageLayer {
-    fn forward(&mut self, block: &Block, input: &Matrix) -> Matrix {
+    fn forward(&mut self, block: &Block, input: Rows<'_>) -> Matrix {
         let self_rows = Self::gather_self_rows(block, input);
         let agg = mean_aggregate(block, input);
         let mut z = self_rows.matmul(&self.w_self);
         z += &agg.matmul(&self.w_neigh);
         add_bias(&mut z, &self.bias);
-        self.input_rows = input.rows();
+        self.input_rows = input.len();
         self.self_rows = Some(self_rows);
         self.aggregated = Some(agg);
         activate(z, self.activation, &mut self.pre_activation)
@@ -129,7 +132,7 @@ mod tests {
     fn forward_shape() {
         let block = tiny_block();
         let x = input(4, 3, 1);
-        let out = layer(true).forward(&block, &x);
+        let out = layer(true).forward(&block, (&x).into());
         assert_eq!((out.rows(), out.cols()), (2, 2));
     }
 
@@ -143,7 +146,7 @@ mod tests {
             src_locals: vec![2, 3, 2, 3],
         };
         let x = input(4, 3, 2);
-        let out = layer(false).forward(&block, &x);
+        let out = layer(false).forward(&block, (&x).into());
         assert_ne!(out.row(0), out.row(1));
     }
 
@@ -169,7 +172,7 @@ mod tests {
         let x = input(4, 3, 7);
         let upstream = input(2, 2, 8);
         let mut l = layer(false);
-        l.forward(&block, &x);
+        l.forward(&block, (&x).into());
         l.backward(&block, &upstream, true);
         let eps = 1e-2;
         for (which, analytic) in [(0, l.grad_w_self.clone()), (1, l.grad_w_neigh.clone())] {
@@ -182,7 +185,7 @@ mod tests {
                         &mut lp.w_neigh
                     };
                     w.as_mut_slice()[i] += delta;
-                    let out = lp.forward(&block, &x);
+                    let out = lp.forward(&block, (&x).into());
                     out.as_slice()
                         .iter()
                         .zip(upstream.as_slice())
@@ -202,7 +205,7 @@ mod tests {
         let x = input(4, 3, 9);
         let upstream = input(2, 2, 10);
         let mut l = layer(false);
-        l.forward(&block, &x);
+        l.forward(&block, (&x).into());
         l.backward(&block, &upstream, true);
         let mut opt = Sgd::new(0.1);
         assert_eq!(l.apply_grads(&mut opt, 0), 3);

@@ -13,7 +13,9 @@ pub mod aggregate;
 pub mod census;
 pub mod layers;
 pub mod model;
+pub mod rows;
 
 pub use census::{census, LayerWorkload};
 pub use layers::GnnLayer;
 pub use model::{GnnModel, ModelConfig, ModelKind};
+pub use rows::Rows;

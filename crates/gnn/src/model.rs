@@ -5,6 +5,7 @@ use crate::layers::gcn::GcnLayer;
 use crate::layers::gin::GinLayer;
 use crate::layers::sage::SageLayer;
 use crate::layers::GnnLayer;
+use crate::Rows;
 use fastgl_sample::SampledSubgraph;
 use fastgl_tensor::loss::softmax_cross_entropy;
 use fastgl_tensor::{Matrix, Optimizer};
@@ -250,14 +251,21 @@ impl GnnModel {
         self.param_count() as u64 * 4
     }
 
-    /// Forward pass: `features` rows cover the subgraph's full node list;
-    /// returns logits over the seed nodes.
+    /// Forward pass: `features` rows cover the subgraph's full node list,
+    /// either gathered into a matrix (`&Matrix`) or read from the feature
+    /// store in place ([`Rows::store`] over `subgraph.nodes`), with the
+    /// same bits; returns logits over the seed nodes.
     ///
     /// # Panics
     ///
     /// Panics if the subgraph's block count differs from the layer count or
-    /// the feature matrix does not cover the subgraph.
-    pub fn forward(&mut self, subgraph: &SampledSubgraph, features: &Matrix) -> Matrix {
+    /// the features do not cover the subgraph.
+    pub fn forward<'a>(
+        &mut self,
+        subgraph: &SampledSubgraph,
+        features: impl Into<Rows<'a>>,
+    ) -> Matrix {
+        let features = features.into();
         assert_eq!(
             subgraph.blocks.len(),
             self.layers.len(),
@@ -266,7 +274,7 @@ impl GnnModel {
             self.layers.len()
         );
         assert_eq!(
-            features.rows() as u64,
+            features.len() as u64,
             subgraph.num_nodes(),
             "feature rows must cover the subgraph"
         );
@@ -274,7 +282,8 @@ impl GnnModel {
         // previous layer's output.
         let mut h: Option<Matrix> = None;
         for (layer, block) in self.layers.iter_mut().zip(&subgraph.blocks) {
-            h = Some(layer.forward(block, h.as_ref().unwrap_or(features)));
+            let input = h.as_ref().map_or(features, Rows::from);
+            h = Some(layer.forward(block, input));
         }
         h.expect("a model has at least one layer")
     }
@@ -341,10 +350,10 @@ impl GnnModel {
 
     /// Forward-only evaluation on a mini-batch: returns `(loss, accuracy)`
     /// over the seeds without touching gradients or parameters.
-    pub fn evaluate(
+    pub fn evaluate<'a>(
         &mut self,
         subgraph: &SampledSubgraph,
-        features: &Matrix,
+        features: impl Into<Rows<'a>>,
         labels: &[u32],
     ) -> (f32, f64) {
         let logits = self.forward(subgraph, features);
@@ -558,6 +567,78 @@ mod tests {
         assert!(loss.is_finite() && loss > 0.0);
         assert!((0.0..=1.0).contains(&acc));
         assert_eq!(model.state(), state, "evaluation must not mutate params");
+    }
+
+    /// Layer 0 reads the feature store in place; that must give the bits of
+    /// gathering the rows into a matrix first, for the logits and for every
+    /// parameter gradient, at 1 and 2 threads.
+    #[test]
+    fn store_read_matches_the_gathered_matrix_bit_for_bit() {
+        use fastgl_graph::FeatureStore;
+        use fastgl_tensor::parallel;
+
+        // Large enough that aggregation and the matmuls split over two
+        // threads; the sampled node order is not the store order.
+        let g = rmat::generate(&RmatConfig::social(3_000, 24_000), 5);
+        let seeds: Vec<NodeId> = (0..256).map(|i| NodeId(i * 11 % 3_000)).collect();
+        let mut rng = DeterministicRng::seed(42);
+        let sg = NeighborSampler::new(vec![4, 6])
+            .sample(&g, &seeds, &FusedIdMap::new(), &mut rng)
+            .0;
+        assert!(!sg.nodes.is_sorted(), "the block follows the store order");
+        let dim = 24;
+        let store = FeatureStore::materialized(
+            crate::layers::test_util::input(3_000, dim, 9)
+                .as_slice()
+                .to_vec(),
+            dim,
+        );
+        let idx: Vec<usize> = sg.nodes.iter().map(|n| n.index()).collect();
+        let gathered = Matrix::gather_flat(store.as_slice().unwrap(), dim, 3_000, &idx);
+        let labels: Vec<u32> = (0..sg.seed_locals.len()).map(|i| (i % 5) as u32).collect();
+
+        let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
+        // Logits and every parameter gradient after one forward/backward.
+        let step = |kind: ModelKind, from_store: bool| -> Vec<Vec<u32>> {
+            let cfg = ModelConfig {
+                kind,
+                input_dim: dim,
+                hidden_dim: 16,
+                num_classes: 5,
+                num_layers: 2,
+                heads: 4,
+            };
+            let mut model = GnnModel::new(&cfg, &mut DeterministicRng::seed(3));
+            let logits = if from_store {
+                model.forward(&sg, Rows::store(&store, &sg.nodes))
+            } else {
+                model.forward(&sg, &gathered)
+            };
+            model.backward(&sg, &softmax_cross_entropy(&logits, &labels).grad);
+            let mut out = vec![bits(&logits)];
+            for layer in &mut model.layers {
+                for (_, grad) in layer.params_and_grads() {
+                    out.push(bits(grad));
+                }
+            }
+            out
+        };
+        for kind in [
+            ModelKind::Gcn,
+            ModelKind::Sage,
+            ModelKind::Gin,
+            ModelKind::Gat,
+        ] {
+            for threads in [1, 2] {
+                parallel::set_num_threads(threads);
+                let (read, copied) = (step(kind, true), step(kind, false));
+                parallel::set_num_threads(0);
+                assert_eq!(read.len(), copied.len());
+                for (i, (r, c)) in read.iter().zip(&copied).enumerate() {
+                    assert!(r == c, "{kind} at {threads} threads: output {i} differs");
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! The kernel computes `out = A · B` for an `m × k` left operand read in
 //! place through row and column strides ([`Lhs`]) and a row-major `k × n`
-//! right operand. It keeps a [`MR`] × [`NR`] accumulator tile in registers,
+//! right operand. It keeps an [`MR`]-row accumulator tile in registers,
 //! loads each row of B once per [`MR`] rows of A, and walks `k` in panels of
-//! [`KC`] so the B stripe a tile streams stays cache-resident.
+//! [`KC`] so the B stripe a tile streams stays cache-resident. The tile's
+//! width is a const parameter, so each compiled copy picks its own.
 //!
 //! Every output element is bit-identical to the plain triple loop: its sum
 //! starts at `+0.0` and adds `a * b` in `k`-ascending order with a separate
@@ -13,10 +14,13 @@
 //! panels and reloads them, which is exact. With `SKIP_ZERO_A` a term whose
 //! `a` is `0.0` is skipped per element, so `0 × inf` never reaches the sum.
 //!
-//! The same generic body is compiled twice: a portable copy, and on x86-64
-//! a copy with AVX2 enabled, picked at run time. AVX2 widens the vectors
-//! only; FMA stays disabled, and Rust never contracts a multiply and an add
-//! into one, so both copies give the same bits.
+//! The same generic body is compiled three times, and the fastest copy the
+//! CPU can run is picked at run time: a portable copy and an AVX2 copy with
+//! [`NR`]-wide tiles, and an AVX-512F copy with [`NR_AVX512`]-wide tiles.
+//! The extra features widen the vectors only. Rust never contracts a
+//! multiply and an add into an FMA, and a tile's width only decides which
+//! lanes compute an element, never the operations in its sum, so every
+//! copy gives the same bits.
 //!
 //! [`Matrix::matmul`]: crate::Matrix::matmul
 
@@ -24,10 +28,15 @@ use crate::parallel;
 
 /// Rows of the accumulator tile.
 const MR: usize = 4;
-/// Columns of the accumulator tile: two AVX2 vectors of `f32`.
+/// Columns of the portable and AVX2 tiles: two AVX2 vectors of `f32`.
 const NR: usize = 16;
-/// Depth of one `k` panel: a tile streams `KC` rows of an `NR`-wide B
-/// stripe (16 KiB), which stays L1-resident across the tile's `k` loop.
+/// Columns of the AVX-512 tile: two AVX-512 vectors of `f32`, so the tile
+/// is eight accumulator registers.
+#[cfg(target_arch = "x86_64")]
+const NR_AVX512: usize = 32;
+/// Depth of one `k` panel: a tile streams `KC` rows of its B stripe (16 KiB
+/// at [`NR`] columns, 32 KiB at [`NR_AVX512`]), which stays in L1 across
+/// the tile's `k` loop.
 const KC: usize = 256;
 
 /// An `m × k` left operand read in place: element `(i, p)` is
@@ -54,17 +63,25 @@ impl<'a> Lhs<'a> {
 enum Isa {
     /// Compiled for the build target's baseline instruction set.
     Portable,
-    /// Compiled with AVX2 enabled (FMA stays off).
+    /// Compiled with AVX2 enabled.
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// Compiled with AVX-512F enabled, with [`NR_AVX512`]-wide tiles.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Isa {
     /// The fastest copy this CPU can run.
     fn detect() -> Isa {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Isa::Avx2;
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Isa::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Isa::Avx2;
+            }
         }
         Isa::Portable
     }
@@ -115,12 +132,18 @@ fn dispatch<const SKIP_ZERO_A: bool>(
 ) {
     match isa {
         #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 if std::arch::is_x86_feature_detected!("avx512f") => {
+            // SAFETY: `kernel_avx512` requires only the AVX-512F target
+            // feature, and the guard above checked that this CPU supports it.
+            unsafe { kernel_avx512::<SKIP_ZERO_A>(a, b, k, n, out) }
+        }
+        #[cfg(target_arch = "x86_64")]
         Isa::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
             // SAFETY: `kernel_avx2` requires only the AVX2 target feature,
             // and the guard above checked that this CPU supports it.
             unsafe { kernel_avx2::<SKIP_ZERO_A>(a, b, k, n, out) }
         }
-        _ => kernel::<SKIP_ZERO_A>(a, b, k, n, out),
+        _ => kernel::<SKIP_ZERO_A, NR>(a, b, k, n, out),
     }
 }
 
@@ -134,21 +157,49 @@ fn kernel_avx2<const SKIP_ZERO_A: bool>(
     n: usize,
     out: &mut [f32],
 ) {
-    kernel::<SKIP_ZERO_A>(a, b, k, n, out);
+    kernel::<SKIP_ZERO_A, NR>(a, b, k, n, out);
 }
 
-/// The serial kernel over one chunk of output rows. `#[inline(always)]`
-/// down to the tile update, so each caller compiles the whole body under
-/// its own target features.
+/// [`kernel`] compiled with AVX-512F enabled, on 32-column tiles.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn kernel_avx512<const SKIP_ZERO_A: bool>(
+    a: Lhs<'_>,
+    b: &[f32],
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    kernel::<SKIP_ZERO_A, NR_AVX512>(a, b, k, n, out);
+}
+
+/// The serial kernel over one chunk of output rows, on `W`-column tiles.
+/// `#[inline(always)]` down to the tile update, so each caller compiles the
+/// whole body under its own target features.
 #[inline(always)]
-fn kernel<const SKIP_ZERO_A: bool>(a: Lhs<'_>, b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+fn kernel<const SKIP_ZERO_A: bool, const W: usize>(
+    a: Lhs<'_>,
+    b: &[f32],
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
     let m = out.len() / n;
     // A micro-panel of A: `MR` rows by up to `KC` columns, stored column by
     // column and zero-padded past the last row.
     let mut a_panel = [[0.0f32; MR]; KC];
+    // The ragged right edge: the last `edge` columns, past the full tiles.
+    // Its stripe of each `k` panel's B rows is packed once per panel,
+    // zero-padded to `W` lanes; the padding lanes are never stored.
+    let edge = n % W;
+    let full = n - edge;
+    let mut b_edge = vec![[0.0f32; W]; if edge == 0 { 0 } else { KC.min(k) }];
     for k0 in (0..k).step_by(KC) {
         let kc = KC.min(k - k0);
         let b_panel = &b[k0 * n..(k0 + kc) * n];
+        for (packed, b_row) in b_edge.iter_mut().zip(b_panel.chunks_exact(n)) {
+            packed[..edge].copy_from_slice(&b_row[full..]);
+        }
         for i0 in (0..m).step_by(MR) {
             let rows = MR.min(m - i0);
             for (p, col) in a_panel[..kc].iter_mut().enumerate() {
@@ -160,54 +211,58 @@ fn kernel<const SKIP_ZERO_A: bool>(a: Lhs<'_>, b: &[f32], k: usize, n: usize, ou
                     };
                 }
             }
+            let a_panel = &a_panel[..kc];
             let out_rows = &mut out[i0 * n..(i0 + rows) * n];
-            for j0 in (0..n).step_by(NR) {
-                tile::<SKIP_ZERO_A>(&a_panel[..kc], b_panel, n, j0, out_rows);
+            for j0 in (0..full).step_by(W) {
+                let b_rows = b_panel.chunks_exact(n).map(|row| {
+                    <&[f32; W]>::try_from(&row[j0..j0 + W]).expect("a full tile spans W columns")
+                });
+                tile::<SKIP_ZERO_A, W>(a_panel, b_rows, n, j0, W, out_rows);
+            }
+            if edge > 0 {
+                tile::<SKIP_ZERO_A, W>(a_panel, b_edge.iter(), n, full, edge, out_rows);
             }
         }
     }
 }
 
-/// Adds one `k` panel into the output tile at columns `j0..` of
-/// `out_rows` (up to `MR` rows of width `n`). The tile's partial sums are
-/// loaded from `out_rows` and stored back, both exactly.
+/// Adds one `k` panel into the output tile at columns `j0..j0 + cols` of
+/// `out_rows` (up to `MR` rows of width `n`), reading one `W`-lane B row
+/// per `k` step. The tile's partial sums are loaded from `out_rows` and
+/// stored back, both exactly; lanes past `cols` are never stored.
 #[inline(always)]
-fn tile<const SKIP_ZERO_A: bool>(
+fn tile<'b, const SKIP_ZERO_A: bool, const W: usize>(
     a_panel: &[[f32; MR]],
-    b_panel: &[f32],
+    b_rows: impl Iterator<Item = &'b [f32; W]>,
     n: usize,
     j0: usize,
+    cols: usize,
     out_rows: &mut [f32],
 ) {
-    let cols = NR.min(n - j0);
-    let mut acc = [[0.0f32; NR]; MR];
-    for (acc_row, out_row) in acc.iter_mut().zip(out_rows.chunks_exact(n)) {
-        acc_row[..cols].copy_from_slice(&out_row[j0..j0 + cols]);
+    // The partial sums move through `staged` with copies of `cols`
+    // elements; `acc` itself is only ever copied whole, so it stays in
+    // registers even when `cols` is known only at run time.
+    let mut staged = [[0.0f32; W]; MR];
+    for (row, out_row) in staged.iter_mut().zip(out_rows.chunks_exact(n)) {
+        row[..cols].copy_from_slice(&out_row[j0..j0 + cols]);
     }
-    if cols == NR {
-        for (a_col, b_row) in a_panel.iter().zip(b_panel.chunks_exact(n)) {
-            let b_row: &[f32; NR] = b_row[j0..j0 + NR]
-                .try_into()
-                .expect("a full tile spans NR columns");
-            update::<SKIP_ZERO_A>(&mut acc, a_col, b_row);
-        }
-    } else {
-        // The right edge: lanes past `cols` compute on zero padding and
-        // are never stored.
-        for (a_col, b_row) in a_panel.iter().zip(b_panel.chunks_exact(n)) {
-            let mut padded = [0.0f32; NR];
-            padded[..cols].copy_from_slice(&b_row[j0..j0 + cols]);
-            update::<SKIP_ZERO_A>(&mut acc, a_col, &padded);
-        }
+    let mut acc = staged;
+    for (a_col, b_row) in a_panel.iter().zip(b_rows) {
+        update::<SKIP_ZERO_A, W>(&mut acc, a_col, b_row);
     }
-    for (acc_row, out_row) in acc.iter().zip(out_rows.chunks_exact_mut(n)) {
-        out_row[j0..j0 + cols].copy_from_slice(&acc_row[..cols]);
+    staged = acc;
+    for (row, out_row) in staged.iter().zip(out_rows.chunks_exact_mut(n)) {
+        out_row[j0..j0 + cols].copy_from_slice(&row[..cols]);
     }
 }
 
 /// One `k` step of the tile: `acc[r][j] += a[r] * b[j]`.
 #[inline(always)]
-fn update<const SKIP_ZERO_A: bool>(acc: &mut [[f32; NR]; MR], a: &[f32; MR], b: &[f32; NR]) {
+fn update<const SKIP_ZERO_A: bool, const W: usize>(
+    acc: &mut [[f32; W]; MR],
+    a: &[f32; MR],
+    b: &[f32; W],
+) {
     for (acc_row, &a) in acc.iter_mut().zip(a) {
         if SKIP_ZERO_A && a == 0.0 {
             continue;
@@ -292,11 +347,19 @@ mod tests {
         Matrix::from_vec(rows, cols, data)
     }
 
-    /// Every copy of the kernel body this CPU can run.
+    /// Every copy of the kernel body this CPU can run, not only the
+    /// fastest.
     fn available() -> Vec<Isa> {
+        #[allow(unused_mut)]
         let mut isas = vec![Isa::Portable];
-        if Isa::detect() != Isa::Portable {
-            isas.push(Isa::detect());
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                isas.push(Isa::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                isas.push(Isa::Avx512);
+            }
         }
         isas
     }
@@ -313,14 +376,17 @@ mod tests {
 
     #[test]
     fn every_copy_matches_the_plain_loops_bit_for_bit() {
-        // m % 4 ∈ {1, 2, 3, 0}, n % 16 ≠ 0 as well as full tiles, and k
-        // below, at, and above the panel depth (not a multiple of it).
+        // m % 4 ∈ {1, 2, 3, 0}; ragged right edges at both tile widths (16
+        // and 32 columns) as well as only full tiles, and a width (48) that
+        // is full at 16 but ragged at 32; k below, at, and above the panel
+        // depth (not a multiple of it).
         let shapes = [
             (1, 1, 1),
             (5, 300, 37),
             (6, 517, 16),
             (7, 256, 33),
             (23, 300, 40),
+            (9, 70, 48),
             (12, 600, 64),
             (33, 129, 3),
         ];

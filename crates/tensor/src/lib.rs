@@ -6,8 +6,8 @@
 //! *update* phase of Eq. 2 — plus losses and optimisers:
 //!
 //! * [`Matrix`] — row-major `f32` matrices with a register-tiled,
-//!   `k`-blocked matmul (AVX2 when the CPU has it) and the transposed
-//!   variants backward passes need.
+//!   `k`-blocked matmul (AVX-512 or AVX2 when the CPU has it) and the
+//!   transposed variants backward passes need.
 //! * [`ops`] — activations and row-wise softmax utilities.
 //! * [`loss`] — softmax cross-entropy with gradient, and accuracy.
 //! * [`optim`] — plain SGD and Adam.
